@@ -18,10 +18,11 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import OrientedGraph
+from .digraph import MODES, Mode, OrientedGraph
 from .errors import BoundExceeded
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -47,15 +48,50 @@ def parse_colour(text: str, n: int) -> int:
     return c
 
 
-class Target:
-    """A colour space: a digraph together with cached automorphisms."""
+class ColourMasks(NamedTuple):
+    """A target's colour sets as bitmasks (bit c stands for colour c)."""
 
-    __slots__ = ("graph", "name", "_auts")
+    out: tuple[int, ...]  # out[c]: the colours d with an arc c -> d
+    into: tuple[int, ...]  # into[c]: the colours d with an arc d -> c
+    loops: int  # the colours with a loop
+    # capacity[mode][i][k]: the colours whose i-th mode-relevant neighbourhood
+    # (in the order of OrientedGraph.mode_sets) has at least k members; a
+    # neighbourhood size past the end of the tuple fits no colour
+    capacity: dict[Mode, tuple[tuple[int, ...], ...]]
+
+
+def _capacity(sizes: list[int]) -> tuple[int, ...]:
+    return tuple(
+        sum(1 << c for c, size in enumerate(sizes) if size >= k)
+        for k in range(max(sizes, default=-1) + 1)
+    )
+
+
+def _colour_masks(g: OrientedGraph) -> ColourMasks:
+    colours = range(g.n)
+    out = tuple(sum(1 << d for d in g.out_set(c)) for c in colours)
+    into = tuple(sum(1 << d for d in g.in_set(c)) for c in colours)
+    loops = sum(1 << c for c in colours if g.has_loop(c))
+    capacity = {
+        mode: tuple(
+            _capacity([len(s) for s in sets])
+            for sets in zip(*(g.mode_sets(c, mode) for c in colours))
+        )
+        for mode in MODES
+    }
+    return ColourMasks(out, into, loops, capacity)
+
+
+class Target:
+    """A colour space: a digraph together with its cached automorphisms and masks."""
+
+    __slots__ = ("graph", "name", "_auts", "_masks")
 
     def __init__(self, graph: OrientedGraph, name: str | None = None):
         self.graph = graph
         self.name = name
         self._auts: tuple[tuple[int, ...], ...] | None = None
+        self._masks: ColourMasks | None = None
 
     @property
     def n(self) -> int:
@@ -78,6 +114,11 @@ class Target:
         if self._auts is None:
             self._auts = automorphisms(self)
         return self._auts
+
+    def colour_masks(self) -> ColourMasks:
+        if self._masks is None:
+            self._masks = _colour_masks(self.graph)
+        return self._masks
 
     def __repr__(self):
         label = self.name or f"<{self.graph.n}-vertex target>"

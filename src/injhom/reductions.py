@@ -108,11 +108,25 @@ def parse_undirected(text: str) -> UndirectedGraph:
             continue
         parts = line.split()
         if parts[0] == "n" and len(parts) == 2:
-            n = int(parts[1])
+            if n is not None:
+                raise MalformedLine(f"line {lineno}: duplicate vertex-count line")
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise MalformedLine(f"line {lineno}: bad vertex count {parts[1]!r}")
+            if n < 0:
+                raise MalformedLine(f"line {lineno}: negative vertex count")
         elif parts[0] == "a" and len(parts) == 3:
             if n is None:
                 raise MalformedLine(f"line {lineno}: edge before vertex-count line")
-            u, v = int(parts[1]), int(parts[2])
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise MalformedLine(f"line {lineno}: bad edge {line!r}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
+            if u == v:
+                raise MalformedLine(f"line {lineno}: loop at {u} not allowed in a simple graph")
             e = (min(u, v), max(u, v))
             if e in seen:
                 raise DuplicateArc(f"line {lineno}: edge {e} listed twice")

@@ -5,11 +5,20 @@ Search policy (pinned for reproducibility):
 * constraints are materialized as binary tables between vertex pairs: arc
   preservation plus one difference constraint for every pair of vertices
   sharing a mode-relevant neighbourhood (deduplicated globally);
+* a fixed (pre-coloured) assignment is checked once, in one pass over the
+  in-arcs of the fixed vertices and over the difference pairs; the first
+  violation is reported by fixed-order position of the arc's head, then of
+  its tail.  Arcs and pairs between two fixed vertices then get no table:
+  they could never narrow a domain;
 * unary filtering up front: loop arcs restrict a vertex to loop colours, and
   a vertex whose mode-relevant neighbourhood is larger than any colour's
-  matching neighbourhood gets an empty domain (the pigeonhole screen);
+  matching neighbourhood gets an empty domain (the pigeonhole screen).  The
+  colour masks behind both filters and the tables are computed once per
+  target and cached on it (`Target.colour_masks`);
 * decide() branches on the smallest current domain (ties by vertex id),
-  values in ascending colour order;
+  values in ascending colour order.  The candidates live in one bitset per
+  domain size, `bucket[k]`, updated wherever a domain is narrowed or
+  restored, so a pick is the lowest bit of the first non-empty bucket;
 * enumerate() assigns vertices in id order so witnesses stream out in
   lexicographic order, deduplicated for free.
 
@@ -18,6 +27,7 @@ Everything is single-threaded and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import Target
@@ -63,10 +73,8 @@ def difference_pairs(g: OrientedGraph, mode: Mode) -> set[tuple[int, int]]:
     pairs: set[tuple[int, int]] = set()
     for v in range(g.n):
         for members in g.mode_sets(v, mode):
-            ms = sorted(members)
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    pairs.add((ms[i], ms[j]))
+            if len(members) > 1:
+                pairs.update(combinations(sorted(members), 2))
     return pairs
 
 
@@ -95,102 +103,72 @@ class _Engine:
     def __init__(self, g: OrientedGraph, t: Target, mode: Mode, fixed=None):
         self.g = g
         self.t = t
-        self.mode = mode
-        self.fixed = dict(fixed or {})
-        tg = t.graph
-        tn = tg.n
-        self.tn = tn
+        self.fixed = fixed = dict(fixed or {})
+        masks = t.colour_masks()
+        tn = self.tn = t.n
         full = (1 << tn) - 1
-
-        out_mask = [0] * tn  # colours allowed on the head of an arc from c
-        in_mask = [0] * tn  # colours allowed on the tail of an arc into c
-        for c in range(tn):
-            for d in tg.out_set(c):
-                out_mask[c] |= 1 << d
-            for d in tg.in_set(c):
-                in_mask[c] |= 1 << d
-        loop_mask = 0
-        for c in range(tn):
-            if tg.has_loop(c):
-                loop_mask |= 1 << c
 
         self.pairs = difference_pairs(g, mode)
         self._validate_fixed()
 
         # unary filters: loops, degree capacity, fixed assignments
+        caps = masks.capacity[mode]
         dom = [full] * g.n
-        cap_in = [len(tg.in_set(c)) for c in range(tn)]
-        cap_out = [len(tg.out_set(c)) for c in range(tn)]
-        cap_both = [len(tg.both_set(c)) for c in range(tn)]
         for v in range(g.n):
-            if g.has_loop(v):
-                dom[v] &= loop_mask
-            need_in, need_out = len(g.in_set(v)), len(g.out_set(v))
-            need_both = len(g.both_set(v))
-            m = 0
-            for c in range(tn):
-                if self.mode is Mode.IN:
-                    ok = cap_in[c] >= need_in
-                elif self.mode is Mode.IOS:
-                    ok = cap_in[c] >= need_in and cap_out[c] >= need_out
-                else:
-                    ok = cap_both[c] >= need_both
-                if ok:
-                    m |= 1 << c
-            dom[v] &= m
-        for v, c in self.fixed.items():
+            m = masks.loops if g.has_loop(v) else full
+            for members, cap in zip(g.mode_sets(v, mode), caps):
+                k = len(members)
+                m &= cap[k] if k < len(cap) else 0
+            dom[v] = m
+        for v, c in fixed.items():
             dom[v] &= 1 << c
         self.dom0 = dom
 
-        # binary tables: masks[c] = allowed colours on the partner when this side is c
-        tables: dict[tuple[int, int], list[int]] = {}
-
-        def table(v, u):
-            key = (v, u)
-            if key not in tables:
-                tables[key] = [full] * tn
-            return tables[key]
-
+        # binary tables: row[c] = allowed colours on the partner when this side
+        # is c.  Constraints between two fixed vertices were checked above and
+        # could never narrow a domain, so they get no table.  Loops were folded
+        # into the unary filter, and with no digons each other arc owns its keys.
+        tables: dict[tuple[int, int], tuple[int, ...]] = {}
         for u, v in g.arcs:
-            if u == v:
-                continue  # loops were folded into the unary filter
-            tu, tv = table(u, v), table(v, u)
-            for c in range(tn):
-                tu[c] &= out_mask[c]  # u=c constrains head v
-                tv[c] &= in_mask[c]  # v=c constrains tail u
+            if u != v and not (u in fixed and v in fixed):
+                tables[u, v] = masks.out  # u=c constrains head v
+                tables[v, u] = masks.into  # v=c constrains tail u
+        differ = tuple(full ^ (1 << c) for c in range(tn))
         for x, y in self.pairs:
-            tx, ty = table(x, y), table(y, x)
-            for c in range(tn):
-                tx[c] &= ~(1 << c)
-                ty[c] &= ~(1 << c)
+            if x in fixed and y in fixed:
+                continue
+            for key in ((x, y), (y, x)):
+                row = tables.get(key)
+                tables[key] = differ if row is None else tuple(map(int.__and__, row, differ))
 
-        cons: list[list[tuple[int, list[int]]]] = [[] for _ in range(g.n)]
-        for (v, u), masks in sorted(tables.items()):
-            cons[v].append((u, masks))
+        cons: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.n)]
+        for (v, u), row in sorted(tables.items()):
+            cons[v].append((u, row))
         self.cons = cons
 
     def _validate_fixed(self) -> None:
-        g, tg = self.g, self.t.graph
-        for v, c in self.fixed.items():
+        g, tg, fixed = self.g, self.t.graph, self.fixed
+        for v, c in fixed.items():
             if not 0 <= v < g.n:
                 raise InvalidFixedAssignment(f"fixed vertex {v} outside instance")
             if not 0 <= c < tg.n:
                 raise InvalidFixedAssignment(f"fixed colour {c} outside target")
-        for v, c in self.fixed.items():
-            for u, d in self.fixed.items():
-                if (u, v) in g.arcs and not tg.has_arc(d, c):
-                    raise InvalidFixedAssignment(
-                        f"fixed arc ({u}, {v}) maps to non-arc ({d}, {c})"
-                    )
+        # the first bad arc by the fixed-order position of its head, then of its
+        # tail; a loop is an arc (v, v), so this covers loops on loopless colours
+        position = {v: i for i, v in enumerate(fixed)}
+        for v, c in fixed.items():
+            bad = [u for u in g.in_set(v) if u in fixed and not tg.has_arc(fixed[u], c)]
+            if bad:
+                u = min(bad, key=position.__getitem__)
+                raise InvalidFixedAssignment(
+                    f"fixed arc ({u}, {v}) maps to non-arc ({fixed[u]}, {c})"
+                )
         for x, y in self.pairs:
-            if x in self.fixed and y in self.fixed and self.fixed[x] == self.fixed[y]:
+            if x in fixed and y in fixed and fixed[x] == fixed[y]:
                 raise InvalidFixedAssignment(
                     f"vertices {x} and {y} share a neighbourhood but are both fixed "
-                    f"to colour {self.fixed[x]}"
+                    f"to colour {fixed[x]}"
                 )
-        for v, c in self.fixed.items():
-            if g.has_loop(v) and not tg.has_arc(c, c):
-                raise InvalidFixedAssignment(f"loop at {v} maps to loopless colour {c}")
 
     # -- the search ---------------------------------------------------------
 
@@ -206,35 +184,41 @@ class _Engine:
             yield ()
             return
         dom = self.dom0[:]
-        if any(d == 0 for d in dom):
+        if not all(dom):
             return
         cons = self.cons
         col = [-1] * n
         unassigned = n
-
-        def select() -> int:
-            if static_order:
-                for u in range(n):
-                    if col[u] < 0:
-                        return u
-            best_u = -1
-            best = 1 << 30
+        # smallest-domain order: bucket[k] is the bitset of the vertices with k
+        # colours left that no open frame branches on; a frame's vertex leaves
+        # its bucket when the frame is pushed and returns when it is popped
+        track = not static_order
+        bucket = [0] * (self.tn + 1)
+        if track:
             for u in range(n):
-                if col[u] < 0:
-                    pc = dom[u].bit_count()
-                    if pc < best:
-                        best, best_u = pc, u
-                        if pc <= 1:
-                            break
-            return best_u
+                bucket[dom[u].bit_count()] |= 1 << u
+
+        def take() -> int:
+            """The next branch vertex, taken out of its bucket."""
+            if static_order:
+                return n - unassigned
+            for k, b in enumerate(bucket):  # bucket[0] is empty here
+                if b:
+                    low = b & -b
+                    bucket[k] = b ^ low
+                    return low.bit_length() - 1
 
         # frame: [vertex, untried-colour mask, trail of (u, saved-domain)]
-        v0 = select()
+        v0 = take()
         stack: list[list] = [[v0, dom[v0], []]]
         while stack:
             frame = stack[-1]
             v, rem, trail = frame
             for u, old in trail:
+                if track:
+                    b = 1 << u
+                    bucket[dom[u].bit_count()] ^= b
+                    bucket[old.bit_count()] |= b
                 dom[u] = old
             trail.clear()
             if col[v] >= 0:
@@ -242,6 +226,8 @@ class _Engine:
                 unassigned += 1
             if rem == 0:
                 stack.pop()
+                if track:
+                    bucket[dom[v].bit_count()] |= 1 << v
                 continue
             if node_budget is not None and self.nodes >= node_budget:
                 self.exhausted = True
@@ -253,15 +239,19 @@ class _Engine:
             col[v] = c
             unassigned -= 1
             dead = False
-            for u, masks in cons[v]:
+            for u, row in cons[v]:
                 if col[u] >= 0:
                     continue
                 old = dom[u]
-                new = old & masks[c]
+                new = old & row[c]
                 if new != old:
                     trail.append((u, old))
                     dom[u] = new
                     self.propagations += 1
+                    if track:
+                        b = 1 << u
+                        bucket[old.bit_count()] ^= b
+                        bucket[new.bit_count()] |= b
                     if new == 0:
                         dead = True
                         break
@@ -270,7 +260,7 @@ class _Engine:
             if unassigned == 0:
                 yield tuple(col)
                 continue
-            w = select()
+            w = take()
             stack.append([w, dom[w], []])
 
 

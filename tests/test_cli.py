@@ -128,6 +128,22 @@ def test_reduce_k4_summary_and_roundtrip(k4_file, tmp_path, capsys):
     assert is_proper_edge_colouring(k4, extract_edge_colouring(ri, res.witnesses[0]))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("n x\n", "line 1:"),
+    ("n 2\na 0 x\n", "line 2:"),
+    ("n 2\nn 3\n", "line 2:"),
+    ("n 2\na 0 1\na 1 5\n", "line 3:"),
+])
+def test_reduce_malformed_undirected_input_exit_two(tmp_path, capsys, text, line):
+    p = tmp_path / "bad.graph"
+    p.write_text(text)
+    out = tmp_path / "inst.graph"
+    rc = main(["reduce", "--kind", "iot-t4", "--input", str(p), "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {line}")
+    assert not out.exists()
+
+
 def test_reduce_collapse_pivot_too_low(cycle_file, tmp_path, capsys):
     rc = main([
         "reduce", "--kind", "collapse-ios", "--input", str(cycle_file),

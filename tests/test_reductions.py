@@ -8,9 +8,12 @@ from injhom.digraph import Mode, OrientedGraph
 from injhom.errors import (
     DegreeTooHigh,
     DegreeTooLow,
+    DuplicateArc,
+    MalformedLine,
     NormalizationFailed,
     PortColourMismatch,
     TemplateNotFound,
+    VertexOutOfRange,
 )
 from injhom.reductions import (
     UndirectedGraph,
@@ -64,6 +67,23 @@ def test_orient_edges():
 def test_parse_undirected():
     g = parse_undirected("n 3\na 2 0\na 0 1")
     assert g.edges == {(0, 2), (0, 1)}
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("n x", MalformedLine, "line 1: bad vertex count 'x'"),
+    ("n -1", MalformedLine, "line 1: negative vertex count"),
+    ("n 3\n# c\nn 4", MalformedLine, "line 3: duplicate vertex-count line"),
+    ("n 3\na 0 x", MalformedLine, "line 2: bad edge 'a 0 x'"),
+    ("n 3\na 0 1\na 1 3", VertexOutOfRange, "line 3: edge (1, 3) outside 0..2"),
+    ("n 3\na -1 0", VertexOutOfRange, "line 2: edge (-1, 0) outside 0..2"),
+    ("n 3\na 2 2", MalformedLine, "line 2: loop at 2 not allowed in a simple graph"),
+    ("n 3\na 0 1\na 1 0", DuplicateArc, "line 3: edge (0, 1) listed twice"),
+    ("a 0 1\nn 3", MalformedLine, "line 1: edge before vertex-count line"),
+])
+def test_parse_undirected_errors(text, error, message):
+    with pytest.raises(error) as err:
+        parse_undirected(text)
+    assert str(err.value) == message
 
 
 def test_oracle_k4_sat():

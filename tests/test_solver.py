@@ -1,12 +1,26 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from injhom.catalog import named_target
+from injhom.catalog import Target, named_target
 from injhom.digraph import MODES, Mode, OrientedGraph
 from injhom.errors import InvalidFixedAssignment, PartialColouring
 from injhom.gadgets import load_gadget
 from injhom.naive import naive_witnesses
+from injhom.reductions import (
+    UndirectedGraph,
+    build_ios_collapse,
+    build_ios_t4,
+    build_ios_t5,
+    build_iot_collapse,
+    build_iot_t4,
+    build_iot_t5,
+    collapse_target,
+    lift_colouring,
+    three_edge_colouring_oracle,
+)
 from injhom.solver import (
     SolveOptions,
     decide,
@@ -20,6 +34,7 @@ C3 = named_target("C3")
 TT3 = named_target("TT3")
 T4 = named_target("T4")
 T5 = named_target("T5")
+TT5 = named_target("TT5")
 
 THREE_CYCLE = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -106,6 +121,57 @@ def test_decide_fixed_validation():
     sibs = OrientedGraph(3, [(0, 2), (1, 2)])
     with pytest.raises(InvalidFixedAssignment):
         decide(sibs, T4, Mode.IN, fixed={0: 1, 1: 1})
+
+
+def test_decide_fixed_reports_first_violation():
+    # bad arcs (0, 1), (5, 4) and (6, 4); 5 and 6 share 4's in-set, 7 and 8 share 2's
+    g = OrientedGraph(9, [(0, 1), (5, 4), (6, 4), (7, 2), (8, 2)])
+    cases = [
+        # the head earliest in fixed order wins, then the tail earliest in fixed order
+        ({7: 0, 8: 0, 4: 0, 6: 1, 5: 1, 1: 2, 0: 0},
+         "fixed arc (6, 4) maps to non-arc (1, 0)"),
+        ({1: 2, 0: 0, 4: 0, 6: 1, 5: 1, 7: 0, 8: 0},
+         "fixed arc (0, 1) maps to non-arc (0, 2)"),
+        # arcs are checked before shared neighbourhoods
+        ({8: 1, 7: 1, 1: 2, 0: 0}, "fixed arc (0, 1) maps to non-arc (0, 2)"),
+        ({8: 1, 7: 1},
+         "vertices 7 and 8 share a neighbourhood but are both fixed to colour 1"),
+    ]
+    for fixed, message in cases:
+        with pytest.raises(InvalidFixedAssignment) as err:
+            decide(g, C3, Mode.IN, fixed=fixed)
+        assert str(err.value) == message
+
+
+def test_decide_fixed_loop_on_loopless_colour():
+    # a non-reflexive target: colour 0 has no loop, colour 1 has one
+    t = Target(OrientedGraph(2, [(0, 1), (1, 1)]))
+    g = OrientedGraph(2, [(0, 0), (0, 1)])
+    with pytest.raises(InvalidFixedAssignment) as err:
+        decide(g, t, Mode.IOS, fixed={0: 0})
+    assert str(err.value) == "fixed arc (0, 0) maps to non-arc (0, 0)"
+    # the loop restricts vertex 0 to colour 1, whose out-set is too small
+    assert decide(g, t, Mode.IOS, fixed={0: 1}).status == "unsat"
+    assert decide(g, t, Mode.IN).status == "sat"
+
+
+def test_decide_fixed_pair_in_shared_neighbourhood():
+    # 0 and 1 share 2's in-set and are both fixed, so no table joins them
+    sibs = OrientedGraph(3, [(0, 2), (1, 2)])
+    res = decide(sibs, T4, Mode.IN, fixed={1: 2, 0: 1})
+    assert (res.status, res.witnesses, res.nodes, res.propagations) == (
+        "sat", [(1, 2, 2)], 3, 2
+    )
+    every = enumerate_colourings(sibs, T4, Mode.IN, fixed={1: 2, 0: 1}).witnesses
+    assert every == [w for w in naive_witnesses(sibs, T4, Mode.IN) if w[:2] == (1, 2)]
+    assert every == [(1, 2, 2), (1, 2, 3)]
+
+
+def test_collapse_lift_with_a_thousand_fixed_vertices():
+    ri, base = _lift_case("ios-collapse", 140, 7)
+    assert ri.graph.n == 980  # the lift fixes every instance vertex
+    full = lift_colouring(ri, base)
+    assert _digest(full) == "7ee4e817ea1baf5d"
 
 
 def test_decide_budget_exhaustion():
@@ -228,3 +294,135 @@ def test_solve_options_dispatch():
     assert solve(g, C3, SolveOptions(mode=Mode.IOS)).sat
     assert len(solve(g, C3, SolveOptions(mode=Mode.IOS, limit=10)).witnesses) == 3
     assert solve(g, T5, SolveOptions(mode=Mode.IOS, mod_aut=True)).orbits == 1
+
+
+# -- pinned search policy ----------------------------------------------------
+#
+# Node and propagation counts, witnesses and enumeration order are part of the
+# solver's contract: a change to the branching rule or the propagation order
+# must show here.  The values were recorded with the linear-scan selection
+# that the per-domain-size buckets replaced.
+
+
+def _all_oriented(max_n):
+    """Every oriented graph on 0..max_n vertices, loops included."""
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for loops in range(1 << n):
+            for code in itertools.product(range(3), repeat=len(pairs)):
+                arcs = [(v, v) for v in range(n) if loops >> v & 1]
+                arcs += [(u, v) if k == 1 else (v, u) for (u, v), k in zip(pairs, code) if k]
+                yield OrientedGraph(n, arcs)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _search_profile(graphs):
+    """Summed decide/enumerate counts and a digest of every answer, in order."""
+    totals = {"decide_nodes": 0, "decide_props": 0, "enum_nodes": 0, "enum_props": 0}
+    answers = []
+    for g in graphs:
+        for t in (C3, TT3, T4, T5):
+            for mode in MODES:
+                d = decide(g, t, mode)
+                e = enumerate_colourings(g, t, mode)
+                totals["decide_nodes"] += d.nodes
+                totals["decide_props"] += d.propagations
+                totals["enum_nodes"] += e.nodes
+                totals["enum_props"] += e.propagations
+                answers.append((d.status, d.witnesses, e.status, e.witnesses))
+    totals["answers"] = _digest(answers)
+    return totals
+
+
+GOLDEN_SMALL = {
+    "decide_nodes": 8641, "decide_props": 6602, "enum_nodes": 69678,
+    "enum_props": 26014, "answers": "222a6a1ba16fd057",
+}
+GOLDEN_SIX = {
+    0: {"decide_nodes": 74, "decide_props": 191, "enum_nodes": 242,
+        "enum_props": 381, "answers": "6330680b38daa733"},
+    1: {"decide_nodes": 102, "decide_props": 263, "enum_nodes": 229,
+        "enum_props": 403, "answers": "2d359d695252947d"},
+    3: {"decide_nodes": 63, "decide_props": 131, "enum_nodes": 920,
+        "enum_props": 312, "answers": "be7691890b658095"},
+    5: {"decide_nodes": 323, "decide_props": 613, "enum_nodes": 709,
+        "enum_props": 1099, "answers": "3ef79dbcce5c1f75"},
+    6: {"decide_nodes": 135, "decide_props": 377, "enum_nodes": 630,
+        "enum_props": 942, "answers": "9ff8e1835df7b9c9"},
+}
+# kind -> (instance vertices, digest of the lifted colouring)
+GOLDEN_LIFT = {
+    "ios-t4": (120, "58e49e3a52c59891"),
+    "iot-t4": (114, "7374cc2d5192da62"),
+    "ios-t5": (105, "23f34dbd857a18eb"),
+    "iot-t5": (121, "58ee89e04d13f382"),
+    "ios-collapse": (98, "81752c521a8881ae"),
+    "iot-collapse": (121, "afc291ca9226322e"),
+}
+
+
+def test_pinned_search_all_small_graphs():
+    assert _search_profile(_all_oriented(3)) == GOLDEN_SMALL
+
+
+def test_pinned_search_seeded_six_vertex_graphs():
+    for seed, want in GOLDEN_SIX.items():
+        assert _search_profile([_random_graph(random.Random(seed), 6)]) == want, seed
+
+
+def _planted(rng, n, target, mode):
+    """A loopless graph grown arc by arc around a random colouring that stays valid."""
+    col = [rng.randrange(target.n) for _ in range(n)]
+    arcs: list[tuple[int, int]] = []
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) in arcs or (v, u) in arcs:
+            continue
+        if not target.graph.has_arc(col[u], col[v]):
+            u, v = v, u
+        trial = arcs + [(u, v)]
+        if verify_colouring(OrientedGraph(n, trial), target, col, mode)[0]:
+            arcs = trial
+    return OrientedGraph(n, arcs), dict(enumerate(col))
+
+
+def _lift_case(kind, n, seed):
+    """A reduction instance of the given kind from an n-vertex source, with a base."""
+    rng = random.Random(seed)
+    if kind.endswith("t4"):
+        # a cycle, with its long diagonals when n > 3: K3 for n = 3, K3,3 for n = 6
+        src = UndirectedGraph(
+            n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                if abs(u - v) in (1, n - 1) or (n > 3 and abs(u - v) == n // 2)]
+        )
+        build = build_ios_t4 if kind == "ios-t4" else build_iot_t4
+        return build(src), three_edge_colouring_oracle(src)
+    mode = Mode.IOS if kind.startswith("ios") else Mode.IOT
+    if kind.endswith("t5"):
+        g, base = _planted(rng, n, C3, mode)
+        return (build_ios_t5 if mode is Mode.IOS else build_iot_t5)(g), base
+    g, base = _planted(rng, n, collapse_target(TT5, 0, "out")[0], mode)
+    build = build_ios_collapse if mode is Mode.IOS else build_iot_collapse
+    return build(g, TT5, 0, "out"), base
+
+
+# kind -> (source vertices, seed); every instance has about 100 vertices
+LIFT_CASES = {
+    "ios-t4": (3, 1),
+    "iot-t4": (6, 2),
+    "ios-t5": (5, 3),
+    "iot-t5": (11, 4),
+    "ios-collapse": (14, 5),
+    "iot-collapse": (11, 6),
+}
+
+
+def test_pinned_lift_per_reduction_kind():
+    got = {}
+    for kind, (n, seed) in LIFT_CASES.items():
+        ri, base = _lift_case(kind, n, seed)
+        got[kind] = (ri.graph.n, _digest(lift_colouring(ri, base)))
+    assert got == GOLDEN_LIFT
