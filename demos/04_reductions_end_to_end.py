@@ -72,12 +72,12 @@ print("=== collapse: TT5 with its source pivot ===")
 tt5, tt4 = named_target("TT5"), named_target("TT4")
 g = OrientedGraph(3, [(0, 1), (1, 2)])
 ri = build_ios_collapse(g, tt5, 0, "out")
-print(f"  collapsed target: {ri.meta['collapsed'].name} "
+print(f"  collapsed target: {ri.source_target.name} "
       f"(isomorphic to TT4), instance has {ri.graph.n} vertices")
 want = decide(g, tt4, Mode.IOS).status
 got = decide(ri.graph, ri.target, ri.mode).status
 print(f"  TT4 says {want}, the TT5 instance says {got}")
 w = decide(ri.graph, ri.target, ri.mode).witnesses[0]
 inner = extract_inner_colouring(ri, w)
-ok, _ = verify_colouring(g, ri.meta["collapsed"], inner, Mode.IOS)
+ok, _ = verify_colouring(g, ri.source_target, inner, Mode.IOS)
 print(f"  projected colouring valid for the collapsed target: {ok}")

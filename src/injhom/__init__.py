@@ -59,12 +59,10 @@ from .reductions import (
     three_edge_colouring_oracle,
 )
 from .solver import (
-    SolveOptions,
     SolveResult,
     decide,
     enumerate_colourings,
     enumerate_mod_aut,
-    solve,
     verify_colouring,
 )
 

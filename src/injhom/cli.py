@@ -84,41 +84,52 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_reduce(args) -> int:
-    kind = args.kind
-    if kind in ("ios-t4", "iot-t4"):
-        g = parse_undirected(Path(args.input).read_text())
-        ri = (build_ios_t4 if kind == "ios-t4" else build_iot_t4)(g)
-        summary = (
-            f"{len(ri.vertex_gadget)} {'Hx' if kind == 'ios-t4' else 'Fx'}, "
-            f"{len(ri.edge_gadget)} {'He' if kind == 'ios-t4' else 'Fe'}"
-        )
-    elif kind in ("ios-t5", "iot-t5"):
-        g = parse_graph(Path(args.input).read_text())
-        ri = (build_ios_t5 if kind == "ios-t5" else build_iot_t5)(g)
-        summary = (
-            f"{len(ri.vertex_gadget)} {'Jv' if kind == 'ios-t5' else 'Dv'} copies"
-            + (f" ({ri.padded} padded)" if ri.padded else "")
-        )
-    elif kind in ("collapse-ios", "collapse-iot"):
-        if args.target is None or args.pivot is None:
-            raise InjhomError("collapse kinds need --target and --pivot")
-        g = parse_graph(Path(args.input).read_text())
-        target = _load_target(args.target)
-        pivot = parse_colour(args.pivot, target.graph.n)
-        build = build_ios_collapse if kind == "collapse-ios" else build_iot_collapse
-        ri = build(g, target, pivot, args.direction)
-        summary = (
-            f"ring of {len(ri.vertex_gadget)}, pivot {colour_letter(pivot)} "
-            f"({args.direction}), collapsed target {ri.meta['collapsed'].name}"
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InjhomError(f"unknown kind {kind}")
+def _no_args(args) -> tuple:
+    return ()
 
+
+def _collapse_args(args) -> tuple:
+    if args.target is None or args.pivot is None:
+        raise InjhomError("collapse kinds need --target and --pivot")
+    target = _load_target(args.target)
+    return target, parse_colour(args.pivot, target.graph.n), args.direction
+
+
+def _gadget_counts(vertex: str, edge: str):
+    return lambda ri: f"{len(ri.vertex_gadget)} {vertex}, {len(ri.edge_gadget)} {edge}"
+
+
+def _ring_copies(gadget: str):
+    return lambda ri: f"{len(ri.vertex_gadget)} {gadget} copies" + (
+        f" ({ri.padded} padded)" if ri.padded else ""
+    )
+
+
+def _collapse_ring(ri) -> str:
+    return (f"ring of {len(ri.vertex_gadget)}, pivot {colour_letter(ri.pivot)} "
+            f"({ri.direction}), collapsed target {ri.source_target.name}")
+
+
+# kind -> (source parser, builder, the builder's arguments after the source,
+# summary line of the built instance)
+REDUCE_KINDS = {
+    "ios-t4": (parse_undirected, build_ios_t4, _no_args, _gadget_counts("Hx", "He")),
+    "iot-t4": (parse_undirected, build_iot_t4, _no_args, _gadget_counts("Fx", "Fe")),
+    "ios-t5": (parse_graph, build_ios_t5, _no_args, _ring_copies("Jv")),
+    "iot-t5": (parse_graph, build_iot_t5, _no_args, _ring_copies("Dv")),
+    "collapse-ios": (parse_graph, build_ios_collapse, _collapse_args, _collapse_ring),
+    "collapse-iot": (parse_graph, build_iot_collapse, _collapse_args, _collapse_ring),
+}
+
+
+def cmd_reduce(args) -> int:
+    parse, build, build_args, summary = REDUCE_KINDS[args.kind]
+    extra = build_args(args)
+    ri = build(parse(Path(args.input).read_text()), *extra)
     out = Path(args.output)
     out.write_text(serialize_graph(ri.graph, header=f"reduction {ri.kind}") + "\n")
     out.with_suffix(out.suffix + ".map").write_text("\n".join(ri.map_lines()) + "\n")
-    print(f"{ri.kind}: {summary}")
+    print(f"{ri.kind}: {summary(ri)}")
     print(f"instance: {ri.graph.n} vertices, {ri.graph.arc_count} arcs -> {out}")
     return 0
 
@@ -227,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_solve)
 
     r = sub.add_parser("reduce", help="build a reduction instance")
-    r.add_argument("--kind", required=True, choices=[
-        "ios-t4", "iot-t4", "ios-t5", "iot-t5", "collapse-ios", "collapse-iot"])
+    r.add_argument("--kind", required=True, choices=list(REDUCE_KINDS))
     r.add_argument("--input", required=True)
     r.add_argument("--output", required=True)
     r.add_argument("--target", help="collapse kinds: the large target")

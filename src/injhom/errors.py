@@ -75,9 +75,6 @@ class AssetMissing(InjhomError):
     pass
 
 
-GadgetMissing = AssetMissing  # the reduction builders surface it under this name
-
-
 class ContractMalformed(InjhomError):
     pass
 

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
 from .digraph import Mode, OrientedGraph, disjoint_union, identify_vertices, parse_document
 from .errors import AssetMissing, ContractMalformed, SynthesisNotFound, UnknownPort
-from .solver import _Engine, decide, verify_colouring
+from .solver import decide, enumerate_colourings, verify_colouring
 
 ASSET_NAMES = ("Hx", "He", "Fx", "Fe", "Jv", "Dv")
 
@@ -85,7 +85,7 @@ def parse_contract(text: str) -> Contract:
 
     def colour(tok: str) -> int:
         if tn is None:
-            raise ContractMalformed("colour before target line")
+            raise ValueError("colour before target line")
         return parse_colour(tok, tn)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -214,17 +214,25 @@ def compose(
     return merged, scope
 
 
+def ring_arcs(
+    spec: GadgetSpec, offsets: Sequence[int], out_ports: Sequence[str], in_port: str
+) -> list[tuple[int, int]]:
+    """The cyclic wiring: copy i's out ports feed copy i+1's in port.
+
+    `offsets[i]` is the first vertex id of copy i in the graph being built.
+    """
+    outs = [spec.port(p) for p in out_ports]
+    into = spec.port(in_port)
+    nxt = offsets[1:] + offsets[:1]
+    return [(off + p, after + into) for off, after in zip(offsets, nxt) for p in outs]
+
+
 def ring(
     spec: GadgetSpec, copies: int, out_ports: Sequence[str], in_port: str
 ) -> tuple[OrientedGraph, ScopeMap]:
     """Cyclic composition: each copy's out ports feed the next copy's in port."""
     union, offsets = disjoint_union([spec.graph] * copies)
-    arcs = set(union.arcs)
-    for i in range(copies):
-        nxt = offsets[(i + 1) % copies] + spec.port(in_port)
-        for p in out_ports:
-            arcs.add((offsets[i] + spec.port(p), nxt))
-    graph = OrientedGraph(union.n, arcs)
+    graph = OrientedGraph(union.n, union.arcs.union(ring_arcs(spec, offsets, out_ports, in_port)))
     scope: ScopeMap = {
         (i, v): offsets[i] + v for i in range(copies) for v in range(spec.graph.n)
     }
@@ -311,11 +319,8 @@ def verify_contract(
             )
         fixed = {resolve(contract.anchor[0]): contract.anchor[1]}
 
-    eng = _Engine(graph, target, mode, fixed)
-    witnesses: list[tuple[int, ...]] = []
-    for w in eng.run(static_order=True, node_budget=node_budget):
-        witnesses.append(w)
-    complete = not eng.exhausted
+    res = enumerate_colourings(graph, target, mode, fixed=fixed, node_budget=node_budget)
+    witnesses = res.witnesses
 
     reports: list[FactReport] = []
     counterexample = None
@@ -368,7 +373,7 @@ def verify_contract(
         mode=mode.value,
         facts=reports,
         witness_count=len(witnesses),
-        complete=complete,
+        complete=res.complete,
         counterexample=counterexample,
     )
 
@@ -385,96 +390,78 @@ def verify_gadget(spec: GadgetSpec, node_budget: int | None = 50_000_000) -> Ver
 
 ALL_LEMMAS = ("3.1", "3.2", "3.4", "4.1", "4.2", "4.3", "4.5")
 
-_SQUARES_H = ("s1", "s2", "s3")
-_SQUARES_F = ("s1", "s2", "s3")
+# lemmas that are one asset's own contract
+_ASSET_LEMMAS = {"3.1": "Hx", "4.1": "Fx", "4.2": "Fe"}
+
+# edge-gadget lemmas: the edge gadget with a vertex gadget glued at each end
+# port, square by square; both end ports are equal and coloured from b, c, d.
+# lemma -> (edge gadget, vertex gadget, end ports, mode)
+_EDGE_LEMMAS = {
+    "3.2": ("He", "Hx", ("e0", "e9"), Mode.IOS),
+    "4.3": ("Fe", "Fx", ("e0", "e6"), Mode.IOT),
+}
+_SQUARES = ("s1", "s2", "s3")
+
+# ring lemmas, checked on rings of 2 and 3 copies with vertex 0 of copy 0 as
+# the anchor.  lemma -> (gadget, out ports, mode, the forced chain of every
+# copy as label -> colour with the anchor label 0 first, and the `extends`
+# pre-colouring: a pinned (label, colour) plus the label that takes each of
+# a, b, c in turn)
+_RING_LEMMAS = {
+    "3.4": ("Jv", ("out17", "out18", "out19"), Mode.IOS,
+            {0: 0, 4: 2, 8: 4, 12: 1, 16: 3}, (8, 0), 11),  # a; c, e, b, d
+    "4.5": ("Dv", ("out8",), Mode.IOT, {0: 3, 4: 0, 8: 2}, (0, 3), 5),  # d, a, c
+}
 
 
 def lemma_reports(lemma: str, directory: Path | None = None) -> list[VerificationReport]:
     """Run the contract checks realizing one forced-colouring lemma."""
-    bcd = frozenset({1, 2, 3})
-    out: list[VerificationReport] = []
+    if lemma in _ASSET_LEMMAS:
+        return [verify_gadget(load_gadget(_ASSET_LEMMAS[lemma], directory))]
+    if lemma in _EDGE_LEMMAS:
+        return _edge_lemma(*_EDGE_LEMMAS[lemma], directory)
+    if lemma in _RING_LEMMAS:
+        return _ring_lemma(*_RING_LEMMAS[lemma], directory)
+    raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(ALL_LEMMAS)}")
 
-    if lemma == "3.1":
-        out.append(verify_gadget(load_gadget("Hx", directory)))
-    elif lemma == "3.2":
-        he = load_gadget("He", directory)
-        hx = load_gadget("Hx", directory)
-        for sa in _SQUARES_H:
-            for sb in _SQUARES_H:
-                graph, scope = compose(
-                    [he, hx, hx], [((1, sa), (0, "e0")), ((2, sb), (0, "e9"))]
-                )
-                contract = Contract(
-                    "T4",
-                    Mode.IOS,
-                    None,
-                    (
-                        ("nonempty",),
-                        ("equal", scope[(0, 0)], scope[(0, 9)]),
-                        ("range", scope[(0, 0)], bcd),
-                    ),
-                )
-                out.append(
-                    verify_contract(graph, contract, subject=f"He'[{sa},{sb}]")
-                )
-    elif lemma == "3.4":
-        jv = load_gadget("Jv", directory)
-        chain = {4: 2, 8: 4, 12: 1, 16: 3}  # c, e, b, d under anchor 0 = a
-        for copies in (2, 3):
-            graph, scope = ring(jv, copies, ("out17", "out18", "out19"), "in0")
-            facts: list[Fact] = [("nonempty",)]
-            for i in range(copies):
-                if i > 0:
-                    facts.append(("forced", scope[(i, 0)], 0))
-                facts.extend(("forced", scope[(i, v)], c) for v, c in chain.items())
-            # forward-direction pre-colourings: the attachment vertex of copy 0
-            # can take each colour that feeds b, d and e to an attached vertex
-            for c11 in (0, 1, 2):
-                facts.append(("extends", {scope[(0, 8)]: 0, scope[(0, 11)]: c11}))
-            contract = Contract("T5", Mode.IOS, (scope[(0, 0)], 0), tuple(facts))
-            out.append(verify_contract(graph, contract, subject=f"J_{copies}"))
-    elif lemma == "4.1":
-        out.append(verify_gadget(load_gadget("Fx", directory)))
-    elif lemma == "4.2":
-        out.append(verify_gadget(load_gadget("Fe", directory)))
-    elif lemma == "4.3":
-        fe = load_gadget("Fe", directory)
-        fx = load_gadget("Fx", directory)
-        for sa in _SQUARES_F:
-            for sb in _SQUARES_F:
-                graph, scope = compose(
-                    [fe, fx, fx], [((1, sa), (0, "e0")), ((2, sb), (0, "e6"))]
-                )
-                contract = Contract(
-                    "T4",
-                    Mode.IOT,
-                    None,
-                    (
-                        ("nonempty",),
-                        ("equal", scope[(0, 0)], scope[(0, 6)]),
-                        ("range", scope[(0, 0)], bcd),
-                    ),
-                )
-                out.append(
-                    verify_contract(graph, contract, subject=f"Fe'[{sa},{sb}]")
-                )
-    elif lemma == "4.5":
-        dv = load_gadget("Dv", directory)
-        chain = {0: 3, 4: 0, 8: 2}  # d, a, c
-        for copies in (2, 3):
-            graph, scope = ring(dv, copies, ("out8",), "in0")
-            facts: list[Fact] = [("nonempty",)]
-            for i in range(copies):
-                for v, c in chain.items():
-                    if i == 0 and v == 0:
-                        continue  # that is the anchor itself
-                    facts.append(("forced", scope[(i, v)], c))
-            for c5 in (0, 1, 2):
-                facts.append(("extends", {scope[(0, 0)]: 3, scope[(0, 5)]: c5}))
-            contract = Contract("T5", Mode.IOT, (scope[(0, 0)], 3), tuple(facts))
-            out.append(verify_contract(graph, contract, subject=f"D_{copies}"))
-    else:
-        raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(ALL_LEMMAS)}")
+
+def _edge_lemma(edge_name, vertex_name, ends, mode, directory) -> list[VerificationReport]:
+    edge = load_gadget(edge_name, directory)
+    vertex = load_gadget(vertex_name, directory)
+    a, b = (edge.port(p) for p in ends)
+    out = []
+    for sa in _SQUARES:
+        for sb in _SQUARES:
+            graph, scope = compose(
+                [edge, vertex, vertex], [((1, sa), (0, ends[0])), ((2, sb), (0, ends[1]))]
+            )
+            facts = (
+                ("nonempty",),
+                ("equal", scope[(0, a)], scope[(0, b)]),
+                ("range", scope[(0, a)], frozenset({1, 2, 3})),
+            )
+            out.append(verify_contract(
+                graph, Contract("T4", mode, None, facts), subject=f"{edge_name}'[{sa},{sb}]"
+            ))
+    return out
+
+
+def _ring_lemma(name, out_ports, mode, chain, pinned, free, directory) -> list[VerificationReport]:
+    spec = load_gadget(name, directory)
+    out = []
+    for copies in (2, 3):
+        graph, scope = ring(spec, copies, out_ports, "in0")
+        facts: list[Fact] = [("nonempty",)]
+        for i in range(copies):
+            facts.extend(
+                ("forced", scope[(i, v)], c) for v, c in chain.items() if i > 0 or v > 0
+            )
+        # forward-direction pre-colourings: with the pinned vertex fixed, the
+        # free vertex of copy 0 can take each of a, b and c
+        for c in (0, 1, 2):
+            facts.append(("extends", {scope[(0, pinned[0])]: pinned[1], scope[(0, free)]: c}))
+        contract = Contract("T5", mode, (scope[(0, 0)], chain[0]), tuple(facts))
+        out.append(verify_contract(graph, contract, subject=f"{name[0]}_{copies}"))
     return out
 
 

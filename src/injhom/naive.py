@@ -50,7 +50,3 @@ def naive_witnesses(g: OrientedGraph, t: Target, mode: Mode) -> list[tuple[int, 
                         keep &= maps[:, pair[0]] != maps[:, pair[1]]
 
     return [tuple(int(c) for c in row) for row in maps[keep]]
-
-
-def naive_decide(g: OrientedGraph, t: Target, mode: Mode) -> bool:
-    return bool(naive_witnesses(g, t, mode))

@@ -145,8 +145,6 @@ def decide_small_target(
         clauses.add((-lit(u, q), -lit(v, p)))
     # injectivity: members of a shared neighbourhood differ
     for x, y in sorted(difference_pairs(g, mode)):
-        if x == y:
-            continue
         clauses.add((lit(x, q), lit(y, q)))
         clauses.add((-lit(x, q), -lit(y, q)))
 

@@ -8,9 +8,13 @@ Four gadget reductions and two collapse reductions are provided:
                      strict out-(or in-)neighbourhood of a high-degree pivot
 
 Builders are deterministic: identical inputs give identical instances, and a
-ReductionInstance carries complete bookkeeping (gadget copy offsets, port
-identifications, inner-vertex images) so solutions can be projected back to
-the source problem and source solutions lifted to full instance colourings.
+ReductionInstance carries complete bookkeeping in typed fields (gadget copy
+offsets, port identifications, inner-vertex images, and for the t5 and
+collapse kinds the source graph and target, the colour embedding, the anchor,
+the pivot and the collapse map), so solutions can be projected back to the
+source problem and source solutions lifted to full instance colourings.  The
+kinds differ only in those fields: the t4 kinds share one edge-colouring lift
+rule, the t5 and collapse kinds one vertex-colouring lift and extract rule.
 
 Ring constructions on fewer than two source vertices are padded with
 isolated dummy vertices: a one-copy ring would close an arc pair into a
@@ -42,7 +46,7 @@ from .errors import (
     TemplateNotFound,
     VertexOutOfRange,
 )
-from .gadgets import GadgetSpec, load_gadget
+from .gadgets import GadgetSpec, load_gadget, ring_arcs
 from .solver import decide, verify_colouring
 
 Edge = tuple[int, int]
@@ -53,7 +57,9 @@ EDGE_COLOURS = (1, 2, 3)
 # the vertices b, d, e induce the directed three-cycle inside T5;
 # C3's letters a, b, c correspond to them in that cyclic order
 C3_EMBEDDING = {0: 1, 1: 3, 2: 4}
-C3_FROM_T5 = {v: k for k, v in C3_EMBEDDING.items()}
+C3 = named_target("C3")
+
+EDGE_KINDS = ("ios-t4", "iot-t4")
 
 
 class UndirectedGraph:
@@ -213,7 +219,24 @@ class ReductionInstance:
     squares_used: dict[Edge, tuple[str, str]] = field(default_factory=dict)
     # image of each original source vertex inside the instance
     inner: dict[int, int] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    # the source problem: a graph and, for the t5 and collapse kinds, the target
+    # a base colouring of it is checked against (C3, or the collapsed target)
+    source: OrientedGraph | UndirectedGraph | None = None
+    source_target: Target | None = None
+    # t5 and collapse kinds: source-target colour -> instance colour, and the
+    # instance vertex whose colour picks the normalizing automorphism
+    embedding: Mapping[int, int] = field(default_factory=dict)
+    anchor_vertex: int | None = None
+    anchor_colour: int | None = None
+    # collapse kinds: the pivot, its neighbourhood direction and the map from
+    # target colours to collapsed ids.  The ring copies are copies of the
+    # target, so a lift pins each at its own labels (`pin_copies`) and every
+    # x-vertex (collapse-ios only) at the pivot.
+    pivot: int | None = None
+    direction: str | None = None
+    collapse_map: dict[int, int] = field(default_factory=dict)
+    x_vertices: dict[int, int] = field(default_factory=dict)
+    pin_copies: bool = False
 
     def map_lines(self) -> list[str]:
         """Deterministic key=value bookkeeping lines for the .map sidecar."""
@@ -224,31 +247,31 @@ class ReductionInstance:
             f"source_n={self.source_n}",
             f"padded={self.padded}",
         ]
-        for v in sorted(self.inner):
-            lines.append(f"inner.{v}={self.inner[v]}")
-        for x in sorted(self.vertex_gadget):
-            for lbl in sorted(self.vertex_gadget[x]):
-                lines.append(f"vgadget.{x}.{lbl}={self.vertex_gadget[x][lbl]}")
-        for e in sorted(self.edge_gadget):
-            for lbl in sorted(self.edge_gadget[e]):
-                lines.append(f"egadget.{e[0]},{e[1]}.{lbl}={self.edge_gadget[e][lbl]}")
-        for i in sorted(self.star_gadget):
-            for lbl in sorted(self.star_gadget[i]):
-                lines.append(f"star.{i}.{lbl}={self.star_gadget[i][lbl]}")
-        for e in sorted(self.ports):
-            p, q = self.ports[e]
-            lines.append(f"port.{e[0]},{e[1]}={p},{q}")
-        for e in sorted(self.squares_used):
-            a, b = self.squares_used[e]
-            lines.append(f"square.{e[0]},{e[1]}={a},{b}")
-        for key in sorted(self.meta):
-            val = self.meta[key]
-            if isinstance(val, dict):
-                for k in sorted(val):
-                    lines.append(f"{key}.{k}={val[k]}")
-            elif not isinstance(val, (Target, OrientedGraph)):
-                lines.append(f"{key}={val}")
+        lines += _entries("inner", self.inner)
+        for name, copies, key in (
+            ("vgadget", self.vertex_gadget, str),
+            ("egadget", self.edge_gadget, _pair),
+            ("star", self.star_gadget, str),
+        ):
+            for k in sorted(copies):
+                lines += _entries(f"{name}.{key(k)}", copies[k])
+        lines += _entries("port", self.ports, _pair, _pair)
+        lines += _entries("square", self.squares_used, _pair, _pair)
+        if self.anchor_vertex is not None:
+            lines += [f"anchor_colour={self.anchor_colour}", f"anchor_vertex={self.anchor_vertex}"]
+        lines += _entries("collapse_map", self.collapse_map)
+        if self.pivot is not None:
+            lines += [f"direction={self.direction}", f"pivot={self.pivot}"]
+        lines += _entries("x_vertices", self.x_vertices)
         return lines
+
+
+def _pair(x) -> str:
+    return f"{x[0]},{x[1]}"
+
+
+def _entries(prefix: str, table: Mapping, key=str, value=str) -> list[str]:
+    return [f"{prefix}.{key(k)}={value(v)}" for k, v in sorted(table.items())]
 
 
 # -- T4 reductions (from 3-edge-colouring) ----------------------------------
@@ -298,6 +321,7 @@ def _build_t4(
         target=named_target("T4"),
         mode=mode,
         source_n=g.n,
+        source=g,
     )
     for x in range(g.n):
         ri.vertex_gadget[x] = {
@@ -339,37 +363,46 @@ def _pad_isolated(g: OrientedGraph, minimum: int) -> tuple[OrientedGraph, int]:
     return OrientedGraph(minimum, g.arcs), extra
 
 
+def _ring_instance(
+    kind: str, mode: Mode, g: OrientedGraph, graph: OrientedGraph, target: Target,
+    extra: int, copies: list[int], size: int, **fields,
+) -> ReductionInstance:
+    """A t5 or collapse instance: the padded source first, so its vertices keep
+    their ids, then one ring copy of `size` vertices at each offset in `copies`."""
+    return ReductionInstance(
+        kind=kind,
+        graph=graph,
+        target=target,
+        mode=mode,
+        source_n=g.n,
+        padded=extra,
+        inner={v: v for v in range(g.n)},
+        vertex_gadget={
+            i: {lbl: off + lbl for lbl in range(size)} for i, off in enumerate(copies)
+        },
+        source=g,
+        **fields,
+    )
+
+
 def _build_t5(
     g: OrientedGraph, kind: str, mode: Mode, spec: GadgetSpec,
     out_ports: tuple[str, ...], anchor_label: int, anchor_colour: int,
 ) -> ReductionInstance:
     padded, extra = _pad_isolated(g, 2)
-    n = padded.n
-    union, offsets = disjoint_union([padded] + [spec.graph] * n)
-    arcs = set(union.arcs)
-    for i in range(n):
-        off = offsets[1 + i]
-        nxt = offsets[1 + (i + 1) % n] + spec.port("in0")
-        for p in out_ports:
-            arcs.add((off + spec.port(p), nxt))
-        arcs.add((off + spec.port("attach"), offsets[0] + i))
-    ri = ReductionInstance(
-        kind=kind,
-        graph=OrientedGraph(union.n, arcs),
-        target=named_target("T5"),
-        mode=mode,
-        source_n=g.n,
-        padded=extra,
+    union, offsets = disjoint_union([padded] + [spec.graph] * padded.n)
+    copies = offsets[1:]
+    attach = spec.port("attach")
+    arcs = union.arcs.union(
+        ring_arcs(spec, copies, out_ports, "in0"),
+        ((off + attach, i) for i, off in enumerate(copies)),
     )
-    ri.inner = {v: offsets[0] + v for v in range(g.n)}
-    for i in range(n):
-        ri.vertex_gadget[i] = {
-            lbl: offsets[1 + i] + lbl for lbl in range(spec.graph.n)
-        }
-    ri.meta["anchor_vertex"] = ri.vertex_gadget[0][anchor_label]
-    ri.meta["anchor_colour"] = anchor_colour
-    ri.meta["source"] = g
-    return ri
+    return _ring_instance(
+        kind, mode, g, OrientedGraph(union.n, arcs), named_target("T5"),
+        extra, copies, spec.graph.n,
+        source_target=C3, embedding=C3_EMBEDDING,
+        anchor_vertex=copies[0] + anchor_label, anchor_colour=anchor_colour,
+    )
 
 
 def build_ios_t5(g: OrientedGraph, directory: Path | None = None) -> ReductionInstance:
@@ -419,57 +452,43 @@ def _irreflexive(g: OrientedGraph) -> OrientedGraph:
     return OrientedGraph(g.n, [(u, v) for u, v in g.arcs if u != v])
 
 
+def _collapse_fields(t: Target, v: int, direction: str) -> dict:
+    """The collapse kinds' instance fields; raises DegreeTooLow before any build."""
+    collapsed, cmap = collapse_target(t, v, direction)
+    return dict(
+        source_target=collapsed, embedding={cid: c for c, cid in cmap.items()},
+        pivot=v, direction=direction, collapse_map=cmap, pin_copies=True,
+    )
+
+
 def build_ios_collapse(
     g: OrientedGraph, t: Target, v: int, direction: str = "out"
 ) -> ReductionInstance:
     """Ring of irreflexive target copies with x-vertices feeding the source."""
-    collapsed, cmap = collapse_target(t, v, direction)
+    fields = _collapse_fields(t, v, direction)
     padded, extra = _pad_isolated(g, 2)
     n = padded.n
-    tn = t.graph.n
     union, offsets = disjoint_union([padded] + [_irreflexive(t.graph)] * n)
+    copies = offsets[1:]
     x0 = union.n  # x_i gets id x0 + i
     arcs = set(union.arcs)
     for i in range(n):
-        w_i = offsets[0] + i
-        v_i = offsets[1 + i] + v
-        v_next = offsets[1 + (i + 1) % n] + v
         x_i = x0 + i
-        if direction == "out":
-            arcs.add((x_i, w_i))
-        else:
-            arcs.add((w_i, x_i))
-        arcs.add((v_i, x_i))
-        arcs.add((x_i, v_next))
-    ri = ReductionInstance(
-        kind="collapse-ios",
-        graph=OrientedGraph(union.n + n, arcs),
-        target=t,
-        mode=Mode.IOS,
-        source_n=g.n,
-        padded=extra,
+        arcs.add((x_i, i) if direction == "out" else (i, x_i))
+        arcs.add((copies[i] + v, x_i))
+        arcs.add((x_i, copies[(i + 1) % n] + v))
+    return _ring_instance(
+        "collapse-ios", Mode.IOS, g, OrientedGraph(x0 + n, arcs), t,
+        extra, copies, t.graph.n, anchor_vertex=copies[0] + v, anchor_colour=v,
+        x_vertices={i: x0 + i for i in range(n)}, **fields,
     )
-    ri.inner = {u: offsets[0] + u for u in range(g.n)}
-    for i in range(n):
-        ri.vertex_gadget[i] = {lbl: offsets[1 + i] + lbl for lbl in range(tn)}
-    ri.meta.update(
-        pivot=v,
-        direction=direction,
-        x_vertices={i: x0 + i for i in range(n)},
-        anchor_vertex=ri.vertex_gadget[0][v],
-        anchor_colour=v,
-        collapse_map=cmap,
-        collapsed=collapsed,
-        source=g,
-    )
-    return ri
 
 
 def build_iot_collapse(
     g: OrientedGraph, t: Target, v: int, direction: str = "out"
 ) -> ReductionInstance:
     """Paired rings of irreflexive T and T* copies chained vertex-wise."""
-    collapsed, cmap = collapse_target(t, v, direction)
+    fields = _collapse_fields(t, v, direction)
     padded, extra = _pad_isolated(g, 2)
     n = padded.n
     tn = t.graph.n
@@ -481,41 +500,21 @@ def build_iot_collapse(
     union, offsets = disjoint_union(
         [padded] + [_irreflexive(t.graph)] * n + [t_star] * n
     )
-    t_off = {i: offsets[1 + i] for i in range(n)}
-    s_off = {i: offsets[1 + n + i] for i in range(n)}
+    t_off = offsets[1:1 + n]
+    s_off = offsets[1 + n:]
     arcs = set(union.arcs)
     for i in range(n):
         for u in range(tn):
             if u != v:
                 arcs.add((s_off[(i - 1) % n] + u, t_off[i] + u))
         arcs.add((t_off[i] + v, s_off[i] + v))
-        w_i = offsets[0] + i
-        if direction == "out":
-            arcs.add((s_off[i] + v, w_i))
-        else:
-            arcs.add((w_i, s_off[i] + v))
-    ri = ReductionInstance(
-        kind="collapse-iot",
-        graph=OrientedGraph(union.n, arcs),
-        target=t,
-        mode=Mode.IOT,
-        source_n=g.n,
-        padded=extra,
+        arcs.add((s_off[i] + v, i) if direction == "out" else (i, s_off[i] + v))
+    return _ring_instance(
+        "collapse-iot", Mode.IOT, g, OrientedGraph(union.n, arcs), t,
+        extra, t_off, tn, anchor_vertex=t_off[0] + v, anchor_colour=v,
+        star_gadget={i: {lbl: off + lbl for lbl in range(tn)} for i, off in enumerate(s_off)},
+        **fields,
     )
-    ri.inner = {u: offsets[0] + u for u in range(g.n)}
-    for i in range(n):
-        ri.vertex_gadget[i] = {lbl: t_off[i] + lbl for lbl in range(tn)}
-        ri.star_gadget[i] = {lbl: s_off[i] + lbl for lbl in range(tn)}
-    ri.meta.update(
-        pivot=v,
-        direction=direction,
-        anchor_vertex=ri.vertex_gadget[0][v],
-        anchor_colour=v,
-        collapse_map=cmap,
-        collapsed=collapsed,
-        source=g,
-    )
-    return ri
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +533,7 @@ def _normalizing_automorphism(t: Target, have: int, want: int) -> tuple[int, ...
 
 def extract_edge_colouring(ri: ReductionInstance, f) -> dict[Edge, int]:
     """Project an instance colouring to the edge colouring it encodes."""
-    if ri.kind not in ("ios-t4", "iot-t4"):
+    if ri.kind not in EDGE_KINDS:
         raise ValueError(f"extract_edge_colouring needs a t4 kind, got {ri.kind}")
     colouring = {}
     for e, (p, q) in sorted(ri.ports.items()):
@@ -555,72 +554,50 @@ def extract_inner_colouring(ri: ReductionInstance, f) -> dict[int, int]:
     For the t5 kinds the result is a C3 colouring (ids 0..2); for the collapse
     kinds it is a colouring in the collapsed target's ids.
     """
-    t = ri.target
-    pi = _normalizing_automorphism(
-        t, f[ri.meta["anchor_vertex"]], ri.meta["anchor_colour"]
-    )
+    if ri.source_target is None:
+        raise ValueError(f"extract_inner_colouring does not apply to kind {ri.kind}")
+    pi = _normalizing_automorphism(ri.target, f[ri.anchor_vertex], ri.anchor_colour)
+    project = {c: sc for sc, c in ri.embedding.items()}
     out: dict[int, int] = {}
-    if ri.kind in ("ios-t5", "iot-t5"):
-        for u, vid in sorted(ri.inner.items()):
-            c = pi[f[vid]]
-            if c not in C3_FROM_T5:
-                raise NormalizationFailed(
-                    f"source vertex {u} coloured {c}, outside the embedded C3"
-                )
-            out[u] = C3_FROM_T5[c]
-        return out
-    if ri.kind in ("collapse-ios", "collapse-iot"):
-        cmap = ri.meta["collapse_map"]
-        for u, vid in sorted(ri.inner.items()):
-            c = pi[f[vid]]
-            if c not in cmap:
-                raise NormalizationFailed(
-                    f"source vertex {u} coloured {c}, outside the collapsed target"
-                )
-            out[u] = cmap[c]
-        return out
-    raise ValueError(f"extract_inner_colouring does not apply to kind {ri.kind}")
+    for u, vid in sorted(ri.inner.items()):
+        c = pi[f[vid]]
+        if c not in project:
+            raise NormalizationFailed(
+                f"source vertex {u} coloured {c}, outside the embedded {ri.source_target.name}"
+            )
+        out[u] = project[c]
+    return out
+
+
+def _edge_fixing(ri: ReductionInstance, base) -> dict[int, int]:
+    """t4 kinds: both ports of every edge gadget take the edge's colour."""
+    if not is_proper_edge_colouring(ri.source, base):
+        raise ValueError("base is not a proper {b,c,d} edge colouring")
+    return {p: base[e] for e, ports in ri.ports.items() for p in ports}
+
+
+def _vertex_fixing(ri: ReductionInstance, base) -> dict[int, int]:
+    """t5 and collapse kinds: the embedded base on the source images, the
+    anchor and, where the ring copies are target copies, the copies and the
+    x-vertices."""
+    ok, why = verify_colouring(ri.source, ri.source_target, base, ri.mode)
+    if not ok:
+        raise ValueError(
+            f"base is not a valid {ri.source_target.name} colouring of the source: {why}"
+        )
+    fixed = {vid: ri.embedding[base[u]] for u, vid in ri.inner.items()}
+    fixed[ri.anchor_vertex] = ri.anchor_colour
+    if ri.pin_copies:
+        for labels in (*ri.vertex_gadget.values(), *ri.star_gadget.values()):
+            fixed.update((vid, lbl) for lbl, vid in labels.items())
+    fixed.update(dict.fromkeys(ri.x_vertices.values(), ri.pivot))
+    return fixed
 
 
 def lift_colouring(ri: ReductionInstance, base) -> tuple[int, ...]:
     """Extend a source-problem solution to a full valid instance colouring."""
-    fixed: dict[int, int] = {}
-    if ri.kind in ("ios-t4", "iot-t4"):
-        source = UndirectedGraph(
-            ri.source_n, [(u, v) for u, v in ri.ports.keys()]
-        )
-        if not is_proper_edge_colouring(source, base):
-            raise ValueError("base is not a proper {b,c,d} edge colouring")
-        for e, (p, q) in ri.ports.items():
-            fixed[p] = base[e]
-            fixed[q] = base[e]
-    elif ri.kind in ("ios-t5", "iot-t5"):
-        ok, why = verify_colouring(ri.meta["source"], named_target("C3"), base, ri.mode)
-        if not ok:
-            raise ValueError(f"base is not a valid C3 colouring of the source: {why}")
-        for u, vid in ri.inner.items():
-            fixed[vid] = C3_EMBEDDING[base[u]]
-        fixed[ri.meta["anchor_vertex"]] = ri.meta["anchor_colour"]
-    elif ri.kind in ("collapse-ios", "collapse-iot"):
-        ok, why = verify_colouring(ri.meta["source"], ri.meta["collapsed"], base, ri.mode)
-        if not ok:
-            raise ValueError(f"base is not valid for the collapsed target: {why}")
-        back = {cid: orig for orig, cid in ri.meta["collapse_map"].items()}
-        for u, vid in ri.inner.items():
-            fixed[vid] = back[base[u]]
-        pivot = ri.meta["pivot"]
-        for labels in ri.vertex_gadget.values():
-            for lbl, vid in labels.items():
-                fixed[vid] = lbl
-        for labels in ri.star_gadget.values():
-            for lbl, vid in labels.items():
-                fixed[vid] = lbl
-        if ri.kind == "collapse-ios":
-            for x in ri.meta["x_vertices"].values():
-                fixed[x] = pivot
-    else:
-        raise ValueError(f"unknown kind {ri.kind}")
-    res = decide(ri.graph, ri.target, ri.mode, fixed=fixed)
+    rule = _edge_fixing if ri.kind in EDGE_KINDS else _vertex_fixing
+    res = decide(ri.graph, ri.target, ri.mode, fixed=rule(ri, base))
     if not res.sat:
         raise TemplateNotFound(
             f"no completion of the fixed ports exists for kind {ri.kind}"

@@ -42,15 +42,6 @@ Witness = tuple[int, ...]
 
 
 @dataclass
-class SolveOptions:
-    mode: Mode
-    fixed: Mapping[int, int] | None = None
-    limit: int | None = None
-    node_budget: int | None = None
-    mod_aut: bool = False
-
-
-@dataclass
 class SolveResult:
     status: str
     witnesses: list[Witness] = field(default_factory=list)
@@ -345,19 +336,6 @@ def enumerate_mod_aut(
     res.witnesses = list(reps)
     res.orbits = len(reps)
     return res
-
-
-def solve(g: OrientedGraph, t: Target, options: SolveOptions) -> SolveResult:
-    """Dispatch on SolveOptions: decide by default, enumerate when a limit is set."""
-    if options.mod_aut:
-        return enumerate_mod_aut(
-            g, t, options.mode, options.fixed, options.limit, options.node_budget
-        )
-    if options.limit is not None:
-        return enumerate_colourings(
-            g, t, options.mode, options.fixed, options.limit, options.node_budget
-        )
-    return decide(g, t, options.mode, options.fixed, options.node_budget)
 
 
 # ---------------------------------------------------------------------------

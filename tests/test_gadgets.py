@@ -56,6 +56,19 @@ def test_contract_malformed():
         parse_contract("target T4\nmode ios\nwibble 3")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("mode ios\nforced 1 a", 2),
+    ("# no target yet\nmode ios\n\nanchor 0 a\ntarget T5", 4),
+    ("mode iot\nrange 0 b,c", 2),
+    ("mode ios\nextends 1=b", 2),
+])
+def test_contract_colour_before_target_has_line_number(text, lineno):
+    with pytest.raises(ContractMalformed) as err:
+        parse_contract(text)
+    assert str(err.value).startswith(f"line {lineno}: ")
+    assert "colour before target line" in str(err.value)
+
+
 def test_load_gadget_validates_spec_invariants(tmp_path):
     (tmp_path / "Bad.graph").write_text("n 2\na 0 1\nport p 0\nport q 0\n")
     (tmp_path / "Bad.contract").write_text("target T4\nmode ios\nnonempty\n")

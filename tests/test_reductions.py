@@ -322,7 +322,7 @@ def test_collapse_extract_witness_valid_for_small_target():
     ri = build_ios_collapse(g, TT5, 0, "out")
     w = decide(ri.graph, ri.target, ri.mode).witnesses[0]
     inner = extract_inner_colouring(ri, w)
-    ok, why = verify_colouring(g, ri.meta["collapsed"], inner, Mode.IOS)
+    ok, why = verify_colouring(g, ri.source_target, inner, Mode.IOS)
     assert ok, why
 
 
@@ -332,7 +332,7 @@ def test_normalization_failure_reported():
     w = list(decide(ri.graph, ri.target, ri.mode).witnesses[0])
     # force a source vertex to the anchor colour, which C3 extraction rejects
     fake = dict(enumerate(w))
-    fake[ri.inner[0]] = fake[ri.meta["anchor_vertex"]]
+    fake[ri.inner[0]] = fake[ri.anchor_vertex]
     with pytest.raises(NormalizationFailed):
         extract_inner_colouring(ri, [fake[v] for v in range(ri.graph.n)])
 

@@ -22,11 +22,9 @@ from injhom.reductions import (
     three_edge_colouring_oracle,
 )
 from injhom.solver import (
-    SolveOptions,
     decide,
     enumerate_colourings,
     enumerate_mod_aut,
-    solve,
     verify_colouring,
 )
 
@@ -287,13 +285,6 @@ def test_mod_aut_orbit_sizes_sum():
         for w in reps:
             orbit_union |= {tuple(pi[c] for c in w) for pi in auts}
         assert orbit_union == full
-
-
-def test_solve_options_dispatch():
-    g = OrientedGraph(1)
-    assert solve(g, C3, SolveOptions(mode=Mode.IOS)).sat
-    assert len(solve(g, C3, SolveOptions(mode=Mode.IOS, limit=10)).witnesses) == 3
-    assert solve(g, T5, SolveOptions(mode=Mode.IOS, mod_aut=True)).orbits == 1
 
 
 # -- pinned search policy ----------------------------------------------------
