@@ -21,7 +21,7 @@ from .catalog import (
     is_vertex_transitive,
     named_target,
 )
-from .digraph import MODES, Mode, OrientedGraph, is_strongly_connected
+from .digraph import MODES, Mode, OrientedGraph, is_strongly_connected, random_oriented_graph
 from .gadgets import ALL_LEMMAS, ASSET_NAMES, lemma_reports, load_gadget, verify_gadget
 from .naive import naive_witnesses
 from .poly import decide_small_target
@@ -85,21 +85,6 @@ def all_oriented_graphs(n: int):
                 elif s == 2:
                     arcs.append((v, u))
             yield OrientedGraph(n, arcs)
-
-
-def random_oriented_graph(rng: random.Random, n: int, arc_p: float = 0.35,
-                          loop_p: float = 0.15) -> OrientedGraph:
-    arcs = []
-    for u in range(n):
-        if rng.random() < loop_p:
-            arcs.append((u, u))
-        for v in range(u + 1, n):
-            r = rng.random()
-            if r < arc_p:
-                arcs.append((u, v))
-            elif r < 2 * arc_p:
-                arcs.append((v, u))
-    return OrientedGraph(n, arcs)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,12 @@ Colour letters a..h map to vertex ids 0..7 in all I/O.  The named targets:
   T5   the unique reflexive tournament on 5 vertices with every in- and
        out-degree equal to 3 (loops counted)
 
+Enumeration adds one vertex at a time: the n-vertex classes are the
+canonical values of every (n-1)-vertex representative extended by each of the
+2^(n-1) orientations of the new vertex's pairs, deduplicated by np.unique.
+This reaches every class, because deleting a vertex from an n-vertex
+tournament leaves a copy of some (n-1)-vertex representative.
+
 Canonical forms are lexicographically minimal adjacency bit-strings over all
 vertex permutations, so they are usable as isomorphism keys for any digraph
 on at most 8 vertices.
@@ -93,6 +99,11 @@ class Target:
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._masks: ColourMasks | None = None
 
+    def __setattr__(self, attr, value):
+        if attr in ("graph", "name") and hasattr(self, attr):
+            raise AttributeError(f"Target.{attr} is read-only: named targets are shared")
+        object.__setattr__(self, attr, value)
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -143,7 +154,13 @@ _T5_STRICT = [(i, (i + k) % 5) for i in range(5) for k in (1, 2)]
 
 
 def named_target(name: str) -> Target:
-    key = name.strip()
+    """The named target; one shared Target per name, so its automorphisms and
+    colour masks are computed once per process."""
+    return _named_target(name.strip())
+
+
+@lru_cache(maxsize=None)
+def _named_target(key: str) -> Target:
     if key == "C3":
         return Target(_reflexive(3, [(0, 1), (1, 2), (2, 0)]), "C3")
     if key == "T4":
@@ -159,7 +176,7 @@ def named_target(name: str) -> Target:
             _reflexive(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
             f"TT{n}",
         )
-    raise ValueError(f"unknown target name {name!r} (C3, TTn, T4, T5)")
+    raise ValueError(f"unknown target name {key!r} (C3, TTn, T4, T5)")
 
 
 NAMED_TARGETS = ("C3", "TT3", "T4", "T5")
@@ -312,35 +329,21 @@ def _orientation_to_target(value: int, n: int) -> Target:
 
 @lru_cache(maxsize=None)
 def _enumerate_values(n: int) -> tuple[int, ...]:
+    """Canonical orientation values of the n-vertex tournaments, ascending."""
     if n == 1:
         return (0,)
-    if n <= 6:
-        k = n * (n - 1) // 2
-        count = 1 << k
-        bits = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(k)[::-1]) & 1
-        best = _canonical_orientation_values(bits.astype(np.uint8), n)
-        return tuple(int(v) for v in np.unique(best))
-    # n == 7: extend every 6-vertex representative by one vertex, then dedup.
-    base = _enumerate_values(6)
-    k6, k7 = 15, 21
-    rows = []
-    for value in base:
-        base_bits = [(value >> (k6 - 1 - b)) & 1 for b in range(k6)]
-        for pattern in range(1 << 6):
-            # pairs of K_7 in lexicographic order: those inside 0..5, then (i, 6)
-            row = list(base_bits)
-            new_bits = [0] * k7
-            pairs = list(itertools.combinations(range(7), 2))
-            pos6 = 0
-            for idx_, (i, j) in enumerate(pairs):
-                if j < 6:
-                    new_bits[idx_] = row[pos6]
-                    pos6 += 1
-                else:
-                    new_bits[idx_] = (pattern >> i) & 1
-            rows.append(new_bits)
-    bits = np.array(rows, dtype=np.uint8)
-    best = _canonical_orientation_values(bits, 7)
+    # extend every (n-1)-vertex representative by each orientation of the
+    # pairs (i, n-1): its bits fill the pairs inside 0..n-2 in order, and bit
+    # i of the pattern orients (i, n-1)
+    pairs = list(itertools.combinations(range(n), 2))
+    inner = [k for k, (_, j) in enumerate(pairs) if j < n - 1]
+    outer = [k for k, (_, j) in enumerate(pairs) if j == n - 1]
+    base = np.array(_enumerate_values(n - 1), dtype=np.int64)
+    patterns = np.arange(1 << (n - 1), dtype=np.int64)
+    bits = np.zeros((len(base), len(patterns), len(pairs)), dtype=np.uint8)
+    bits[:, :, inner] = ((base[:, None] >> np.arange(len(inner))[::-1]) & 1)[:, None, :]
+    bits[:, :, outer] = (patterns[:, None] >> np.arange(n - 1)) & 1
+    best = _canonical_orientation_values(bits.reshape(-1, len(pairs)), n)
     return tuple(int(v) for v in np.unique(best))
 
 

@@ -9,6 +9,7 @@ Graphs are immutable after construction, so they can be shared freely.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -295,6 +296,23 @@ def induced_subgraph(
         (relabel[u], relabel[v]) for u, v in g.arcs if u in relabel and v in relabel
     ]
     return OrientedGraph(len(vs), arcs), relabel
+
+
+def random_oriented_graph(rng: random.Random, n: int, arc_p: float = 0.35,
+                          loop_p: float = 0.15) -> OrientedGraph:
+    """Seeded random oriented graph: a loop at each vertex with probability
+    loop_p, then for each pair u < v the arc u->v or v->u with arc_p each."""
+    arcs = []
+    for u in range(n):
+        if rng.random() < loop_p:
+            arcs.append((u, u))
+        for v in range(u + 1, n):
+            r = rng.random()
+            if r < arc_p:
+                arcs.append((u, v))
+            elif r < 2 * arc_p:
+                arcs.append((v, u))
+    return OrientedGraph(n, arcs)
 
 
 def is_strongly_connected(g: OrientedGraph) -> bool:

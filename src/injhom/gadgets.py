@@ -1,7 +1,8 @@
 """Gadgets as verified data assets.
 
-Each gadget ships as two files in the asset directory (overridable through
-the INJHOM_ASSET_DIR environment variable):
+Each gadget ships as two files in the asset directory (the package's
+`assets/`, or the directory named by the INJHOM_ASSET_DIR environment
+variable, the only override):
 
   <name>.graph       edge-list format with `port <name> <vertex>` lines
   <name>.contract    the machine-checkable content of its forced-colouring
@@ -24,6 +25,11 @@ with the stated partial colouring fixed; the contract anchor is deliberately
 not added to EXTENDS partials (a partial assignment already breaks the
 symmetry the anchor relies on).
 
+Assets are read once per process per asset directory: `load_gadget` reads
+INJHOM_ASSET_DIR on every call, but returns the spec parsed on the first call
+for that directory, shared by every build (so a spec is read-only).  An asset
+edited on disk is picked up by a new process.
+
 When a contract carries an anchor, the witness set is enumerated with the
 anchor fixed.  That is the `enumerate modulo automorphisms` semantics for the
 vertex-transitive targets the anchored lemmas use, at a fifth of the cost;
@@ -34,17 +40,26 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
-from .digraph import Mode, OrientedGraph, disjoint_union, identify_vertices, parse_document
+from .digraph import (
+    Mode,
+    OrientedGraph,
+    disjoint_union,
+    identify_vertices,
+    parse_document,
+    random_oriented_graph,
+)
 from .errors import AssetMissing, ContractMalformed, SynthesisNotFound, UnknownPort
 from .solver import decide, enumerate_colourings, verify_colouring
 
 ASSET_NAMES = ("Hx", "He", "Fx", "Fe", "Jv", "Dv")
 
-Fact = tuple  # ("nonempty",) | ("forced", v, c) | ("equal", u, v) | ("range", v, frozenset) | ("extends", dict)
+Fact = tuple  # ("nonempty",) | ("forced", v, c) | ("equal", u, v) | ("range", v, frozenset) | ("extends", Mapping)
 
 
 @dataclass(frozen=True)
@@ -55,13 +70,16 @@ class Contract:
     facts: tuple[Fact, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GadgetSpec:
     name: str
     graph: OrientedGraph
-    ports: dict[str, int]
+    ports: Mapping[str, int]  # read-only: a loaded spec is shared by every build
     contract: Contract
     provenance: str = "reconstructed"
+
+    def __post_init__(self):
+        object.__setattr__(self, "ports", MappingProxyType(dict(self.ports)))
 
     def port(self, name: str) -> int:
         if name not in self.ports:
@@ -69,11 +87,12 @@ class GadgetSpec:
         return self.ports[name]
 
 
+_PACKAGE_ASSETS = Path(__file__).parent / "assets"
+
+
 def asset_dir() -> Path:
     env = os.environ.get("INJHOM_ASSET_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "assets"
+    return Path(env) if env else _PACKAGE_ASSETS
 
 
 def parse_contract(text: str) -> Contract:
@@ -118,7 +137,7 @@ def parse_contract(text: str) -> Contract:
                     if vid in partial and partial[vid] != colour(c):
                         raise ValueError(f"vertex {vid} pre-coloured twice")
                     partial[vid] = colour(c)
-                facts.append(("extends", partial))
+                facts.append(("extends", MappingProxyType(partial)))
             else:
                 raise ValueError("unrecognised")
         except (ValueError, KeyError) as exc:
@@ -155,8 +174,24 @@ def serialize_contract(contract: Contract) -> str:
     return "\n".join(lines)
 
 
-def load_gadget(name: str, directory: Path | None = None) -> GadgetSpec:
-    base = Path(directory) if directory is not None else asset_dir()
+def _fact_vertices(fact: Fact) -> tuple[int, ...]:
+    """The gadget vertices a contract fact names."""
+    if fact[0] in ("forced", "range"):
+        return (fact[1],)
+    if fact[0] == "equal":
+        return fact[1:3]
+    if fact[0] == "extends":
+        return tuple(fact[1])
+    return ()
+
+
+def load_gadget(name: str) -> GadgetSpec:
+    """The named gadget of the current asset directory, parsed once per process."""
+    return _load(asset_dir(), name)
+
+
+@lru_cache(maxsize=None)
+def _load(base: Path, name: str) -> GadgetSpec:
     graph_path = base / f"{name}.graph"
     contract_path = base / f"{name}.contract"
     if not graph_path.is_file():
@@ -169,19 +204,11 @@ def load_gadget(name: str, directory: Path | None = None) -> GadgetSpec:
         raise ContractMalformed(f"gadget {name}: ports must name distinct vertices")
     if contract.anchor is not None and not 0 <= contract.anchor[0] < graph.n:
         raise ContractMalformed(f"gadget {name}: anchor vertex out of range")
-    for fact in contract.facts:
-        refs = []
-        if fact[0] in ("forced", "range"):
-            refs = [fact[1]]
-        elif fact[0] == "equal":
-            refs = list(fact[1:3])
-        elif fact[0] == "extends":
-            refs = list(fact[1].keys())
-        for v in refs:
-            if not 0 <= v < graph.n:
-                raise ContractMalformed(
-                    f"gadget {name}: contract references vertex {v} outside 0..{graph.n - 1}"
-                )
+    for v in (v for fact in contract.facts for v in _fact_vertices(fact)):
+        if not 0 <= v < graph.n:
+            raise ContractMalformed(
+                f"gadget {name}: contract references vertex {v} outside 0..{graph.n - 1}"
+            )
     return GadgetSpec(name=name, graph=graph, ports=ports, contract=contract)
 
 
@@ -414,20 +441,20 @@ _RING_LEMMAS = {
 }
 
 
-def lemma_reports(lemma: str, directory: Path | None = None) -> list[VerificationReport]:
+def lemma_reports(lemma: str) -> list[VerificationReport]:
     """Run the contract checks realizing one forced-colouring lemma."""
     if lemma in _ASSET_LEMMAS:
-        return [verify_gadget(load_gadget(_ASSET_LEMMAS[lemma], directory))]
+        return [verify_gadget(load_gadget(_ASSET_LEMMAS[lemma]))]
     if lemma in _EDGE_LEMMAS:
-        return _edge_lemma(*_EDGE_LEMMAS[lemma], directory)
+        return _edge_lemma(*_EDGE_LEMMAS[lemma])
     if lemma in _RING_LEMMAS:
-        return _ring_lemma(*_RING_LEMMAS[lemma], directory)
+        return _ring_lemma(*_RING_LEMMAS[lemma])
     raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(ALL_LEMMAS)}")
 
 
-def _edge_lemma(edge_name, vertex_name, ends, mode, directory) -> list[VerificationReport]:
-    edge = load_gadget(edge_name, directory)
-    vertex = load_gadget(vertex_name, directory)
+def _edge_lemma(edge_name, vertex_name, ends, mode) -> list[VerificationReport]:
+    edge = load_gadget(edge_name)
+    vertex = load_gadget(vertex_name)
     a, b = (edge.port(p) for p in ends)
     out = []
     for sa in _SQUARES:
@@ -446,8 +473,8 @@ def _edge_lemma(edge_name, vertex_name, ends, mode, directory) -> list[Verificat
     return out
 
 
-def _ring_lemma(name, out_ports, mode, chain, pinned, free, directory) -> list[VerificationReport]:
-    spec = load_gadget(name, directory)
+def _ring_lemma(name, out_ports, mode, chain, pinned, free) -> list[VerificationReport]:
+    spec = load_gadget(name)
     out = []
     for copies in (2, 3):
         graph, scope = ring(spec, copies, out_ports, "in0")
@@ -488,32 +515,15 @@ def synthesize_gadget(
     """
     if size_bound > SYNTHESIS_MAX_VERTICES:
         raise ValueError(f"size bound capped at {SYNTHESIS_MAX_VERTICES}")
-    referenced = [0]
+    referenced = [0, *(v for fact in contract.facts for v in _fact_vertices(fact))]
     if contract.anchor is not None:
         referenced.append(contract.anchor[0])
-    for fact in contract.facts:
-        if fact[0] in ("forced", "range"):
-            referenced.append(fact[1])
-        elif fact[0] == "equal":
-            referenced.extend(fact[1:3])
-        elif fact[0] == "extends":
-            referenced.extend(fact[1].keys())
     min_n = max(1, port_count, max(referenced) + 1)
     rng = random.Random(seed)
     for n in range(min_n, size_bound + 1):
-        candidates = [OrientedGraph(n)]
-        for _ in range(tries_per_size):
-            arcs = []
-            for u in range(n):
-                if rng.random() < 0.1:
-                    arcs.append((u, u))
-                for v in range(u + 1, n):
-                    r = rng.random()
-                    if r < 0.25:
-                        arcs.append((u, v))
-                    elif r < 0.5:
-                        arcs.append((v, u))
-            candidates.append(OrientedGraph(n, arcs))
+        candidates = [OrientedGraph(n)] + [
+            random_oriented_graph(rng, n, arc_p=0.25, loop_p=0.1) for _ in range(tries_per_size)
+        ]
         for graph in candidates:
             report = verify_contract(graph, contract, node_budget=node_budget)
             if report.passed:

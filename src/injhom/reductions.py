@@ -24,17 +24,10 @@ yes/no answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from .catalog import Target, named_target
-from .digraph import (
-    Mode,
-    OrientedGraph,
-    disjoint_union,
-    identify_vertices,
-    induced_subgraph,
-)
+from .digraph import Mode, OrientedGraph, disjoint_union, induced_subgraph
 from .errors import (
     DegreeTooHigh,
     DegreeTooLow,
@@ -46,7 +39,7 @@ from .errors import (
     TemplateNotFound,
     VertexOutOfRange,
 )
-from .gadgets import GadgetSpec, load_gadget, ring_arcs
+from .gadgets import GadgetSpec, compose, load_gadget, ring_arcs
 from .solver import decide, verify_colouring
 
 Edge = tuple[int, int]
@@ -57,7 +50,6 @@ EDGE_COLOURS = (1, 2, 3)
 # the vertices b, d, e induce the directed three-cycle inside T5;
 # C3's letters a, b, c correspond to them in that cyclic order
 C3_EMBEDDING = {0: 1, 1: 3, 2: 4}
-C3 = named_target("C3")
 
 EDGE_KINDS = ("ios-t4", "iot-t4")
 
@@ -286,19 +278,15 @@ def _build_t4(
     port_a: str,
     port_b: str,
 ) -> ReductionInstance:
+    """One vertex gadget per source vertex, then one edge gadget per arc of the
+    fixed orientation, its end ports merged into a free square at each end."""
     if g.max_degree() > 3:
         raise DegreeTooHigh(f"max degree {g.max_degree()} > 3")
     arcs = sorted(orient_edges(g).arcs)
-    union, offsets = disjoint_union(
-        [vertex_spec.graph] * g.n + [edge_spec.graph] * len(arcs)
-    )
-    v_off = {x: offsets[x] for x in range(g.n)}
-    e_off = {e: offsets[g.n + i] for i, e in enumerate(arcs)}
-
     square_names = ("s1", "s2", "s3")
-    used: dict[int, int] = {x: 0 for x in range(g.n)}
-    merges: list[tuple[int, int]] = []
+    used = [0] * g.n
     squares_used: dict[Edge, tuple[str, str]] = {}
+    identifications = []
 
     def claim(x: int) -> str:
         if used[x] >= len(square_names):
@@ -307,49 +295,43 @@ def _build_t4(
         used[x] += 1
         return name
 
-    for e in arcs:
-        u, v = e
+    for i, (u, v) in enumerate(arcs, start=g.n):
         su, sv = claim(u), claim(v)
-        squares_used[e] = (su, sv)
-        merges.append((v_off[u] + vertex_spec.port(su), e_off[e] + edge_spec.port(port_a)))
-        merges.append((v_off[v] + vertex_spec.port(sv), e_off[e] + edge_spec.port(port_b)))
+        squares_used[(u, v)] = (su, sv)
+        identifications += [((u, su), (i, port_a)), ((v, sv), (i, port_b))]
 
-    merged, relabel = identify_vertices(union, merges)
-    ri = ReductionInstance(
+    graph, scope = compose([vertex_spec] * g.n + [edge_spec] * len(arcs), identifications)
+    edge_gadget = {
+        e: {lbl: scope[(i, lbl)] for lbl in range(edge_spec.graph.n)}
+        for i, e in enumerate(arcs, start=g.n)
+    }
+    a, b = edge_spec.port(port_a), edge_spec.port(port_b)
+    return ReductionInstance(
         kind=kind,
-        graph=merged,
+        graph=graph,
         target=named_target("T4"),
         mode=mode,
         source_n=g.n,
+        vertex_gadget={
+            x: {lbl: scope[(x, lbl)] for lbl in range(vertex_spec.graph.n)}
+            for x in range(g.n)
+        },
+        edge_gadget=edge_gadget,
+        ports={e: (labels[a], labels[b]) for e, labels in edge_gadget.items()},
+        squares_used=squares_used,
         source=g,
     )
-    for x in range(g.n):
-        ri.vertex_gadget[x] = {
-            lbl: relabel[v_off[x] + lbl] for lbl in range(vertex_spec.graph.n)
-        }
-    for e in arcs:
-        ri.edge_gadget[e] = {
-            lbl: relabel[e_off[e] + lbl] for lbl in range(edge_spec.graph.n)
-        }
-        ri.ports[e] = (
-            ri.edge_gadget[e][edge_spec.port(port_a)],
-            ri.edge_gadget[e][edge_spec.port(port_b)],
-        )
-    ri.squares_used = squares_used
-    return ri
 
 
-def build_ios_t4(g: UndirectedGraph, directory: Path | None = None) -> ReductionInstance:
+def build_ios_t4(g: UndirectedGraph) -> ReductionInstance:
     return _build_t4(
-        g, "ios-t4", Mode.IOS,
-        load_gadget("Hx", directory), load_gadget("He", directory), "e0", "e9",
+        g, "ios-t4", Mode.IOS, load_gadget("Hx"), load_gadget("He"), "e0", "e9"
     )
 
 
-def build_iot_t4(g: UndirectedGraph, directory: Path | None = None) -> ReductionInstance:
+def build_iot_t4(g: UndirectedGraph) -> ReductionInstance:
     return _build_t4(
-        g, "iot-t4", Mode.IOT,
-        load_gadget("Fx", directory), load_gadget("Fe", directory), "e0", "e6",
+        g, "iot-t4", Mode.IOT, load_gadget("Fx"), load_gadget("Fe"), "e0", "e6"
     )
 
 
@@ -400,23 +382,23 @@ def _build_t5(
     return _ring_instance(
         kind, mode, g, OrientedGraph(union.n, arcs), named_target("T5"),
         extra, copies, spec.graph.n,
-        source_target=C3, embedding=C3_EMBEDDING,
+        source_target=named_target("C3"), embedding=C3_EMBEDDING,
         anchor_vertex=copies[0] + anchor_label, anchor_colour=anchor_colour,
     )
 
 
-def build_ios_t5(g: OrientedGraph, directory: Path | None = None) -> ReductionInstance:
+def build_ios_t5(g: OrientedGraph) -> ReductionInstance:
     # vertex 8 of every copy is forced (up to automorphism) to colour a
     return _build_t5(
-        g, "ios-t5", Mode.IOS, load_gadget("Jv", directory),
+        g, "ios-t5", Mode.IOS, load_gadget("Jv"),
         ("out17", "out18", "out19"), anchor_label=8, anchor_colour=0,
     )
 
 
-def build_iot_t5(g: OrientedGraph, directory: Path | None = None) -> ReductionInstance:
+def build_iot_t5(g: OrientedGraph) -> ReductionInstance:
     # vertex 0 of every copy is forced (up to automorphism) to colour d
     return _build_t5(
-        g, "iot-t5", Mode.IOT, load_gadget("Dv", directory),
+        g, "iot-t5", Mode.IOT, load_gadget("Dv"),
         ("out8",), anchor_label=0, anchor_colour=3,
     )
 

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 
 from injhom.catalog import (
     Target,
+    _enumerate_values,
     automorphisms,
     canonical_form,
     degree_profile,
@@ -53,6 +55,19 @@ def test_named_targets_are_reflexive_tournaments():
         assert t.reflexive and t.is_tournament
 
 
+def test_named_target_is_shared_per_name():
+    t5 = named_target("T5")
+    assert named_target(" T5 ") is t5
+    assert t5.colour_masks() is named_target("T5").colour_masks()
+    assert named_target("TT3") is named_target("TT3") is not named_target("TT4")
+    with pytest.raises(AttributeError):
+        t5.name = "other"
+    assert named_target("T5").name == "T5"
+    for bad in ("T9", "TT0"):
+        with pytest.raises(ValueError):
+            named_target(bad)
+
+
 def test_enumeration_counts():
     assert [len(enumerate_reflexive_tournaments(n)) for n in range(1, 6)] == [
         1, 1, 2, 4, 12,
@@ -84,6 +99,26 @@ def test_enumeration_degree_sums():
 def test_enumeration_pairwise_non_isomorphic():
     keys = [canonical_form(t) for t in enumerate_reflexive_tournaments(5)]
     assert len(keys) == len(set(keys))
+
+
+# (count, sha256 prefix of the comma-joined canonical values) per n, recorded
+# from the brute-force enumeration the extension recurrence replaced
+ENUMERATION_DIGESTS = {
+    1: (1, "5feceb66ffc86f38"),
+    2: (1, "5feceb66ffc86f38"),
+    3: (2, "a7841ea775e1dff3"),
+    4: (4, "21a2da57824e40a9"),
+    5: (12, "8d09d31f53579130"),
+    6: (56, "950b73ced113460a"),
+    7: (456, "eeff7374e07aa56c"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_values_pinned(n):
+    values = _enumerate_values(n)
+    digest = hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()[:16]
+    assert (len(values), digest) == ENUMERATION_DIGESTS[n]
 
 
 @pytest.mark.slow

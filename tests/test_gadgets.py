@@ -1,12 +1,16 @@
+import dataclasses
+import shutil
+
 import pytest
 
 from injhom.catalog import named_target
-from injhom.digraph import Mode, OrientedGraph
+from injhom.digraph import Mode, OrientedGraph, serialize_graph
 from injhom.errors import AssetMissing, ContractMalformed, SynthesisNotFound, UnknownPort
 from injhom.gadgets import (
     ALL_LEMMAS,
     ASSET_NAMES,
     Contract,
+    asset_dir,
     compose,
     lemma_reports,
     load_gadget,
@@ -69,15 +73,49 @@ def test_contract_colour_before_target_has_line_number(text, lineno):
     assert "colour before target line" in str(err.value)
 
 
-def test_load_gadget_validates_spec_invariants(tmp_path):
+def test_load_gadget_validates_spec_invariants(tmp_path, monkeypatch):
+    monkeypatch.setenv("INJHOM_ASSET_DIR", str(tmp_path))
     (tmp_path / "Bad.graph").write_text("n 2\na 0 1\nport p 0\nport q 0\n")
     (tmp_path / "Bad.contract").write_text("target T4\nmode ios\nnonempty\n")
     with pytest.raises(ContractMalformed):
-        load_gadget("Bad", tmp_path)
+        load_gadget("Bad")
     (tmp_path / "Worse.graph").write_text("n 2\na 0 1\n")
     (tmp_path / "Worse.contract").write_text("target T4\nmode ios\nforced 9 a\n")
     with pytest.raises(ContractMalformed):
-        load_gadget("Worse", tmp_path)
+        load_gadget("Worse")
+
+
+def test_load_gadget_parses_once_per_asset_directory(tmp_path, monkeypatch):
+    jv = load_gadget("Jv")
+    assert load_gadget("Jv") is jv
+    for suffix in (".graph", ".contract"):
+        shutil.copy(asset_dir() / f"Jv{suffix}", tmp_path)
+    monkeypatch.setenv("INJHOM_ASSET_DIR", str(tmp_path))
+    other = load_gadget("Jv")
+    assert other is not jv and other == jv
+    assert load_gadget("Jv") is other
+
+
+def test_failed_load_is_retried(tmp_path, monkeypatch):
+    monkeypatch.setenv("INJHOM_ASSET_DIR", str(tmp_path))
+    with pytest.raises(AssetMissing):
+        load_gadget("G")
+    (tmp_path / "G.graph").write_text("n 2\na 0 1\nport p 0\nport q 0\n")
+    (tmp_path / "G.contract").write_text("target T4\nmode ios\nnonempty\n")
+    with pytest.raises(ContractMalformed):
+        load_gadget("G")
+    (tmp_path / "G.graph").write_text("n 2\na 0 1\nport p 0\nport q 1\n")
+    assert load_gadget("G").port("q") == 1
+
+
+def test_gadget_specs_are_read_only():
+    contract = Contract("T4", Mode.IOS, None, (("nonempty",),))
+    for spec in (load_gadget("Hx"), synthesize_gadget(contract, size_bound=3, port_count=1)):
+        with pytest.raises(TypeError):
+            spec.ports["s1"] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.name = "other"
+    assert load_gadget("Hx").port("s1") == 1
 
 
 def test_compose_plain_union():
@@ -195,3 +233,16 @@ def test_synthesize_deterministic():
     assert a.graph == b.graph
     report = verify_contract(a.graph, contract)
     assert report.passed
+
+
+@pytest.mark.parametrize("seed, text", [
+    (5, "n 3\na 0 1\na 0 2\na 2 1"),
+    (11, "n 3\na 0 0\na 0 1\na 0 2\na 2 1\na 2 2"),
+])
+def test_synthesize_pinned_graphs(seed, text):
+    # recorded before synthesis shared digraph.random_oriented_graph: the
+    # same draws in the same order give the same gadget
+    contract = Contract(
+        "T4", Mode.IOS, None, (("nonempty",), ("range", 0, frozenset({0, 1, 2})))
+    )
+    assert serialize_graph(synthesize_gadget(contract, size_bound=6, seed=seed).graph) == text

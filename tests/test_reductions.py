@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from injhom.errors import (
     TemplateNotFound,
     VertexOutOfRange,
 )
+from injhom.gadgets import asset_dir
 from injhom.reductions import (
     UndirectedGraph,
     build_ios_collapse,
@@ -379,3 +381,21 @@ def test_t4_reduction_equivalence_larger_random_sample():
         for build in (build_ios_t4, build_iot_t4):
             ri = build(g)
             assert decide(ri.graph, ri.target, ri.mode).sat == want
+
+
+def test_second_build_reads_no_file(monkeypatch):
+    square = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    first = build_ios_t4(square)
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    second = build_ios_t4(square)
+    assert reads == []
+    assert second.graph == first.graph and second.map_lines() == first.map_lines()
+    (asset_dir() / "Hx.graph").read_text()  # the counter does see a read
+    assert reads == ["Hx.graph"]
