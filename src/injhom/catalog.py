@@ -81,7 +81,7 @@ def _colour_masks(g: OrientedGraph) -> ColourMasks:
     capacity = {
         mode: tuple(
             _capacity([len(s) for s in sets])
-            for sets in zip(*(g.mode_sets(c, mode) for c in colours))
+            for sets in g.mode_sets(mode)
         )
         for mode in MODES
     }

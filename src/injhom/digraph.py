@@ -113,13 +113,14 @@ class OrientedGraph:
         self._check(v)
         return self._nin[v] | self._nout[v]
 
-    def mode_sets(self, v: int, mode: Mode) -> tuple[frozenset[int], ...]:
-        """The neighbourhood set(s) whose members must take distinct colours."""
+    def mode_sets(self, mode: Mode) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The neighbourhood sets whose members must take distinct colours: one
+        tuple per set (in, out, or their union), each indexed by vertex."""
         if mode is Mode.IN:
-            return (self._nin[v],)
+            return (self._nin,)
         if mode is Mode.IOS:
-            return (self._nin[v], self._nout[v])
-        return (self._nin[v] | self._nout[v],)
+            return (self._nin, self._nout)
+        return (tuple(map(frozenset.union, self._nin, self._nout)),)
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):

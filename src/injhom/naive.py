@@ -39,8 +39,8 @@ def naive_witnesses(g: OrientedGraph, t: Target, mode: Mode) -> list[tuple[int, 
     for u, v in sorted(g.arcs):
         keep &= adj[maps[:, u], maps[:, v]]
     seen: set[tuple[int, int]] = set()
-    for v in range(n):
-        for members in g.mode_sets(v, mode):
+    for vertex_sets in zip(*g.mode_sets(mode)):
+        for members in vertex_sets:
             ms = sorted(members)
             for i in range(len(ms)):
                 for j in range(i + 1, len(ms)):

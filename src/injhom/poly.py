@@ -7,10 +7,17 @@ screening first, then an implication-graph strongly-connected-components
 2-SAT solve.
 
 Literal convention: nonzero ints, +v / -v for variable v in 1..nvars.
+
+The witness is fixed by the order in which Tarjan's algorithm visits the
+implication graph: roots in node order, each node's arcs in the order of the
+sorted clause list.  Any change to that order (the clause encoding, their
+sort, the node numbering or the traversal) can change the witness returned,
+though never the answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .catalog import Target
 from .digraph import Mode, OrientedGraph
@@ -24,20 +31,27 @@ class TwoSatInstance:
     clauses: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        clauses, n = self.clauses, self.nvars
+        # linear accept; anything else (including clauses that are not pairs of
+        # ints) goes through the loop below, which raises on the first violation
+        try:
+            lits = list(chain.from_iterable(clauses))
+            if (
+                set(map(len, clauses)) <= {2}
+                and (not lits or (-n <= min(lits) and max(lits) <= n and 0 not in lits))
+                and len(set(clauses)) == len(clauses)
+            ):
+                return
+        except TypeError:
+            pass
         seen = set()
-        for a, b in self.clauses:
+        for a, b in clauses:
             for lit in (a, b):
-                if lit == 0 or abs(lit) > self.nvars:
+                if lit == 0 or abs(lit) > n:
                     raise ValueError(f"literal {lit} out of range")
             if (a, b) in seen:
                 raise ValueError(f"duplicate clause ({a}, {b})")
             seen.add((a, b))
-
-
-def _node(lit: int) -> int:
-    # -v before +v so that the all-unconstrained assignment decodes to all-false
-    v = abs(lit) - 1
-    return 2 * v + (1 if lit > 0 else 0)
 
 
 def twosat_solve(ins: TwoSatInstance) -> list[bool] | None:
@@ -47,16 +61,21 @@ def twosat_solve(ins: TwoSatInstance) -> list[bool] | None:
     component of its positive literal is closer to the sinks than that of its
     negation.  Deterministic: nodes are visited in a fixed order.
     """
+    # literal +v is node 2v - 1 and -v is node 2v - 2, so -v comes before +v
+    # (the all-unconstrained assignment decodes to all-false) and a literal's
+    # negation is its node ^ 1
     size = 2 * ins.nvars
     adj: list[list[int]] = [[] for _ in range(size)]
     for a, b in ins.clauses:
-        adj[_node(-a)].append(_node(b))
-        adj[_node(-b)].append(_node(a))
+        na = 2 * a - 1 if a > 0 else -2 * a - 2
+        nb = 2 * b - 1 if b > 0 else -2 * b - 2
+        adj[na ^ 1].append(nb)
+        adj[nb ^ 1].append(na)
 
+    # a visited node is on the Tarjan stack until it gets a component
     index = [-1] * size
     low = [0] * size
     comp = [-1] * size
-    on_stack = [False] * size
     scc_stack: list[int] = []
     counter = 0
     comp_count = 0
@@ -64,47 +83,47 @@ def twosat_solve(ins: TwoSatInstance) -> list[bool] | None:
     for root in range(size):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        if not adj[root]:
+            comp[root] = comp_count
+            comp_count += 1
+            continue
+        scc_stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                scc_stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                u = adj[v][pi]
-                pi += 1
+            v, arcs = work[-1]
+            for u in arcs:
                 if index[u] == -1:
-                    work[-1] = (v, pi)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    u = scc_stack.pop()
-                    on_stack[u] = False
-                    comp[u] = comp_count
-                    if u == v:
+                    index[u] = low[u] = counter
+                    counter += 1
+                    if adj[u]:
+                        scc_stack.append(u)
+                        work.append((u, iter(adj[u])))
                         break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                    # no out-arcs: its own component at once, as Tarjan would
+                    comp[u] = comp_count
+                    comp_count += 1
+                elif comp[u] == -1 and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        u = scc_stack.pop()
+                        comp[u] = comp_count
+                        if u == v:
+                            break
+                    comp_count += 1
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
 
-    assignment = []
-    for v in range(ins.nvars):
-        pos, neg = comp[_node(v + 1)], comp[_node(-(v + 1))]
-        if pos == neg:
-            return None
-        assignment.append(pos < neg)  # smaller component id = closer to a sink
-    return assignment
+    neg, pos = comp[0::2], comp[1::2]
+    if any(map(int.__eq__, pos, neg)):
+        return None
+    return list(map(int.__lt__, pos, neg))  # smaller component id = closer to a sink
 
 
 def decide_small_target(
@@ -132,25 +151,19 @@ def decide_small_target(
 
     # two colours: one boolean per vertex, true = the strict arc's head colour
     (p, q) = next((u, v) for u, v in t.graph.arcs if u != v)  # the strict arc p->q
+    # literal v + 1 asserts "vertex v takes q", -(v + 1) "vertex v takes p".
+    # Arc preservation forbids (q, p), the single non-arc of the target (both
+    # colours carry loops); members of a shared neighbourhood differ.  No two
+    # of these clauses coincide.
+    clauses = [(-u - 1, v + 1) for u, v in g.arcs if u != v]
+    for x, y in difference_pairs(g, mode):
+        clauses.append((x + 1, y + 1))
+        clauses.append((-x - 1, -y - 1))
+    clauses.sort()
 
-    def lit(v: int, colour: int) -> int:
-        # literal asserting "vertex v takes `colour`"
-        return (v + 1) if colour == q else -(v + 1)
-
-    clauses: set[tuple[int, int]] = set()
-    # arc preservation: forbid (q, p), the single non-arc of the target
-    for u, v in g.arcs:
-        if u == v:
-            continue  # both colours carry loops
-        clauses.add((-lit(u, q), -lit(v, p)))
-    # injectivity: members of a shared neighbourhood differ
-    for x, y in sorted(difference_pairs(g, mode)):
-        clauses.add((lit(x, q), lit(y, q)))
-        clauses.add((-lit(x, q), -lit(y, q)))
-
-    ins = TwoSatInstance(nvars=g.n, clauses=tuple(sorted(clauses)))
+    ins = TwoSatInstance(nvars=g.n, clauses=tuple(clauses))
     assignment = twosat_solve(ins)
     if assignment is None:
         return SolveResult(status=UNSAT)
-    witness = tuple(q if assignment[v] else p for v in range(g.n))
+    witness = tuple(map((p, q).__getitem__, assignment))
     return SolveResult(status=SAT, witnesses=[witness])

@@ -23,7 +23,9 @@ yes/no answer.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 from .catalog import Target, named_target
@@ -72,14 +74,8 @@ class UndirectedGraph:
         self.n = n
         self.edges = frozenset(es)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
-
-    def incident(self, v: int) -> list[Edge]:
-        return sorted(e for e in self.edges if v in e)
+        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
 
     def __eq__(self, other):
         return (
@@ -149,8 +145,9 @@ def orient_edges(g: UndirectedGraph) -> OrientedGraph:
 
 def three_edge_colouring_oracle(g: UndirectedGraph) -> dict[Edge, int] | None:
     """A proper 3-edge-colouring with colours {b, c, d} = {1, 2, 3}, or None."""
-    if g.max_degree() > 3:
-        raise DegreeTooHigh(f"max degree {g.max_degree()} > 3")
+    degree = g.max_degree()
+    if degree > 3:
+        raise DegreeTooHigh(f"max degree {degree} > 3")
     edges = sorted(g.edges)
     touching: list[list[int]] = [[] for _ in range(len(edges))]
     for i, (u, v) in enumerate(edges):
@@ -181,11 +178,9 @@ def is_proper_edge_colouring(g: UndirectedGraph, colouring: Mapping[Edge, int]) 
         return False
     if any(c not in EDGE_COLOURS for c in colouring.values()):
         return False
-    for v in range(g.n):
-        cols = [colouring[e] for e in g.incident(v)]
-        if len(cols) != len(set(cols)):
-            return False
-    return True
+    # proper iff no (end vertex, colour) pair repeats
+    ends = [(x, c) for e, c in colouring.items() for x in e]
+    return len(ends) == len(set(ends))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +275,9 @@ def _build_t4(
 ) -> ReductionInstance:
     """One vertex gadget per source vertex, then one edge gadget per arc of the
     fixed orientation, its end ports merged into a free square at each end."""
-    if g.max_degree() > 3:
-        raise DegreeTooHigh(f"max degree {g.max_degree()} > 3")
+    degree = g.max_degree()
+    if degree > 3:
+        raise DegreeTooHigh(f"max degree {degree} > 3")
     arcs = sorted(orient_edges(g).arcs)
     square_names = ("s1", "s2", "s3")
     used = [0] * g.n

@@ -27,7 +27,7 @@ Everything is single-threaded and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import Target
@@ -62,30 +62,19 @@ class SolveResult:
 def difference_pairs(g: OrientedGraph, mode: Mode) -> set[tuple[int, int]]:
     """All vertex pairs forced to differ: pairs inside a mode-relevant neighbourhood."""
     pairs: set[tuple[int, int]] = set()
-    for v in range(g.n):
-        for members in g.mode_sets(v, mode):
-            if len(members) > 1:
-                pairs.update(combinations(sorted(members), 2))
+    # vertex by vertex, each vertex's sets in mode_sets order
+    for members in chain.from_iterable(zip(*g.mode_sets(mode))):
+        if len(members) > 1:
+            pairs.update(combinations(sorted(members), 2))
     return pairs
 
 
 def pigeonhole_unsat(g: OrientedGraph, t: Target, mode: Mode) -> bool:
     """True when some mode-relevant neighbourhood cannot fit into the target."""
-    tg = t.graph
-    max_in = max((len(tg.in_set(c)) for c in range(tg.n)), default=0)
-    max_out = max((len(tg.out_set(c)) for c in range(tg.n)), default=0)
-    max_both = max((len(tg.both_set(c)) for c in range(tg.n)), default=0)
-    for v in range(g.n):
-        if mode is Mode.IN:
-            if len(g.in_set(v)) > max_in:
-                return True
-        elif mode is Mode.IOS:
-            if len(g.in_set(v)) > max_in or len(g.out_set(v)) > max_out:
-                return True
-        else:
-            if len(g.both_set(v)) > max_both:
-                return True
-    return False
+    return any(
+        max(map(len, sets), default=0) > max(map(len, caps), default=0)
+        for sets, caps in zip(g.mode_sets(mode), t.graph.mode_sets(mode))
+    )
 
 
 class _Engine:
@@ -105,9 +94,9 @@ class _Engine:
         # unary filters: loops, degree capacity, fixed assignments
         caps = masks.capacity[mode]
         dom = [full] * g.n
-        for v in range(g.n):
+        for v, sets in enumerate(zip(*g.mode_sets(mode))):
             m = masks.loops if g.has_loop(v) else full
-            for members, cap in zip(g.mode_sets(v, mode), caps):
+            for members, cap in zip(sets, caps):
                 k = len(members)
                 m &= cap[k] if k < len(cap) else 0
             dom[v] = m

@@ -82,10 +82,10 @@ def test_neighbourhood_directions():
 
 def test_mode_sets_loop_convention():
     g = OrientedGraph(2, [(0, 0), (0, 1)])
-    (both,) = g.mode_sets(0, Mode.IOT)
-    assert both == {0, 1}
-    nin, nout = g.mode_sets(0, Mode.IOS)
-    assert nin == {0} and nout == {0, 1}
+    (both,) = g.mode_sets(Mode.IOT)
+    assert both[0] == {0, 1}
+    nin, nout = g.mode_sets(Mode.IOS)
+    assert nin[0] == {0} and nout[0] == {0, 1}
 
 
 def test_disjoint_union_examples():

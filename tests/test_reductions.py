@@ -18,6 +18,7 @@ from injhom.errors import (
 )
 from injhom.gadgets import asset_dir
 from injhom.reductions import (
+    EDGE_COLOURS,
     UndirectedGraph,
     build_ios_collapse,
     build_ios_t4,
@@ -102,6 +103,33 @@ def test_oracle_degree_bound():
     star = UndirectedGraph(5, [(0, i) for i in range(1, 5)])
     with pytest.raises(DegreeTooHigh):
         three_edge_colouring_oracle(star)
+
+
+def test_max_degree_of_a_star():
+    star = UndirectedGraph(5, [(0, i) for i in range(1, 5)])
+    assert star.max_degree() == 4
+    with pytest.raises(DegreeTooHigh, match=r"^max degree 4 > 3$"):
+        build_ios_t4(star)
+
+
+def test_edge_colouring_check_on_a_large_planted_cubic_graph():
+    # three edge-disjoint perfect matchings; the matching index is a proper colouring
+    rng, m = random.Random(8), 2_000
+    colouring = {}
+    for colour in EDGE_COLOURS:
+        while True:
+            perm = rng.sample(range(m), m)
+            matching = [tuple(sorted(perm[i:i + 2])) for i in range(0, m, 2)]
+            if not any(e in colouring for e in matching):
+                break
+        colouring.update(dict.fromkeys(matching, colour))
+    g = UndirectedGraph(m, colouring)
+    assert g.max_degree() == 3
+    assert is_proper_edge_colouring(g, colouring)
+    edge = min(colouring)
+    recoloured = dict(colouring)
+    recoloured[edge] = next(c for c in EDGE_COLOURS if c != colouring[edge])
+    assert not is_proper_edge_colouring(g, recoloured)
 
 
 def test_oracle_class_two_graph():
