@@ -20,13 +20,11 @@ from .catalog import (
 from .digraph import (
     Mode,
     MODES,
-    Neighbourhood,
     OrientedGraph,
     disjoint_union,
     identify_vertices,
     induced_subgraph,
     is_strongly_connected,
-    neighbourhood,
     parse_graph,
     serialize_graph,
 )
@@ -36,7 +34,6 @@ from .gadgets import (
     compose,
     lemma_reports,
     load_gadget,
-    synthesize_gadget,
     verify_contract,
     verify_gadget,
 )

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import (
+    _pair_perm_tables,
     canonical_form,
     degree_profile,
     enumerate_reflexive_tournaments,
@@ -102,15 +103,9 @@ def subcubic_graphs_upto_iso(n: int) -> tuple[UndirectedGraph, ...]:
     degrees = bits @ inc.astype(np.int64)
     bits = bits[(degrees <= 3).all(axis=1)]
     # canonicalize: minimal edge bit-string over all vertex permutations
-    perms = list(itertools.permutations(range(n)))
-    pair_index = {p: i for i, p in enumerate(pairs)}
     weights = (1 << np.arange(k, dtype=np.int64))[::-1]
     best = None
-    for pi in perms:
-        idx = np.array(
-            [pair_index[tuple(sorted((pi[u], pi[v])))] for u, v in pairs],
-            dtype=np.int64,
-        )
+    for idx in _pair_perm_tables(n)[0]:
         vals = bits[:, idx].astype(np.int64) @ weights
         best = vals if best is None else np.minimum(best, vals)
     graphs = []

@@ -179,9 +179,6 @@ def _named_target(key: str) -> Target:
     raise ValueError(f"unknown target name {key!r} (C3, TTn, T4, T5)")
 
 
-NAMED_TARGETS = ("C3", "TT3", "T4", "T5")
-
-
 def serialize_target(t: Target) -> str:
     """Edge-list document with a '# target <name>' header comment."""
     from .digraph import serialize_graph
@@ -252,8 +249,6 @@ def is_vertex_transitive(t: Target) -> bool:
 class DegreeProfile:
     in_degrees: tuple[int, ...]  # loops counted
     out_degrees: tuple[int, ...]
-    max_in: int
-    max_out: int
     high_vertices: tuple[int, ...]  # in- or out-degree >= 4
 
 
@@ -265,8 +260,6 @@ def degree_profile(t: Target) -> DegreeProfile:
     return DegreeProfile(
         in_degrees=ins,
         out_degrees=outs,
-        max_in=max(ins, default=0),
-        max_out=max(outs, default=0),
         high_vertices=high,
     )
 

@@ -60,14 +60,12 @@ def cmd_solve(args) -> int:
         v, _, c = item.partition("=")
         fixed[int(v)] = parse_colour(c, target.graph.n)
 
-    if args.fast_small and target.graph.n <= 2:
-        if fixed:
-            raise InjhomError("--fast-small does not support --fixed")
-        res = decide_small_target(g, target, mode)
-    elif args.enumerate is not None:
+    if args.enumerate is not None:
         limit = None if args.enumerate == "all" else int(args.enumerate)
         fn = enumerate_mod_aut if args.mod_aut else enumerate_colourings
         res = fn(g, target, mode, fixed=fixed, limit=limit, node_budget=args.budget)
+    elif not fixed and target.graph.n <= 2 and target.reflexive and target.is_tournament:
+        res = decide_small_target(g, target, mode)
     else:
         res = decide(g, target, mode, fixed=fixed, node_budget=args.budget)
 
@@ -232,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one witness per target-automorphism orbit")
     s.add_argument("--fixed", action="append", metavar="V=C",
                    help="pre-colour vertex V with colour C (repeatable)")
-    s.add_argument("--fast-small", action="store_true",
-                   help="use the polynomial decider for targets on <= 2 vertices")
     s.add_argument("--budget", type=int, help="search node budget")
     s.set_defaults(fn=cmd_solve)
 

@@ -10,9 +10,8 @@ Graphs are immutable after construction, so they can be shared freely.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DigonViolation,
@@ -41,13 +40,6 @@ class Mode(Enum):
 
 
 MODES = (Mode.IN, Mode.IOS, Mode.IOT)
-
-
-@dataclass(frozen=True)
-class Neighbourhood:
-    vertex: int
-    direction: str  # "in" | "out" | "both"
-    members: frozenset[int]
 
 
 class OrientedGraph:
@@ -127,27 +119,13 @@ class OrientedGraph:
             raise VertexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
 
 
-def neighbourhood(g: OrientedGraph, v: int, direction: str) -> Neighbourhood:
-    """The in-, out- or combined neighbourhood of v, loop self-membership included."""
-    g._check(v)
-    if direction == "in":
-        members = g.in_set(v)
-    elif direction == "out":
-        members = g.out_set(v)
-    elif direction == "both":
-        members = g.both_set(v)
-    else:
-        raise ValueError(f"direction must be in/out/both, got {direction!r}")
-    return Neighbourhood(vertex=v, direction=direction, members=frozenset(members))
-
-
 # ---------------------------------------------------------------------------
 # edge-list text format
 #
 #   # comment
 #   n <count>
 #   a <u> <v>        (sorted by (u, v) when serialized)
-#   port <name> <v>  (sorted by name; only gadget files carry ports)
+#   port <name> <v>  (only gadget files carry ports)
 # ---------------------------------------------------------------------------
 
 
@@ -210,19 +188,13 @@ def parse_graph(text: str) -> OrientedGraph:
     return parse_document(text)[0]
 
 
-def serialize_graph(
-    g: OrientedGraph,
-    ports: Mapping[str, int] | None = None,
-    header: str | None = None,
-) -> str:
-    """Bit-exact serialization: header comment, count, arcs by (u, v), ports by name."""
+def serialize_graph(g: OrientedGraph, header: str | None = None) -> str:
+    """Bit-exact serialization: header comment, count, arcs by (u, v)."""
     lines: list[str] = []
     if header:
         lines.append(f"# {header}")
     lines.append(f"n {g.n}")
     lines.extend(f"a {u} {v}" for u, v in sorted(g.arcs))
-    if ports:
-        lines.extend(f"port {name} {ports[name]}" for name in sorted(ports))
     return "\n".join(lines)
 
 
@@ -299,19 +271,18 @@ def induced_subgraph(
     return OrientedGraph(len(vs), arcs), relabel
 
 
-def random_oriented_graph(rng: random.Random, n: int, arc_p: float = 0.35,
-                          loop_p: float = 0.15) -> OrientedGraph:
+def random_oriented_graph(rng: random.Random, n: int) -> OrientedGraph:
     """Seeded random oriented graph: a loop at each vertex with probability
-    loop_p, then for each pair u < v the arc u->v or v->u with arc_p each."""
+    0.15, then for each pair u < v the arc u->v or v->u with 0.35 each."""
     arcs = []
     for u in range(n):
-        if rng.random() < loop_p:
+        if rng.random() < 0.15:
             arcs.append((u, u))
         for v in range(u + 1, n):
             r = rng.random()
-            if r < arc_p:
+            if r < 0.35:
                 arcs.append((u, v))
-            elif r < 2 * arc_p:
+            elif r < 0.7:
                 arcs.append((v, u))
     return OrientedGraph(n, arcs)
 

@@ -54,10 +54,6 @@ class DegreeTooLow(InjhomError):
     pass
 
 
-class SquareExhausted(InjhomError):
-    pass
-
-
 class PortColourMismatch(InjhomError):
     pass
 
@@ -80,8 +76,4 @@ class ContractMalformed(InjhomError):
 
 
 class UnknownPort(InjhomError):
-    pass
-
-
-class SynthesisNotFound(InjhomError):
     pass

@@ -38,7 +38,6 @@ vertex-transitivity is checked.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -46,15 +45,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
-from .digraph import (
-    Mode,
-    OrientedGraph,
-    disjoint_union,
-    identify_vertices,
-    parse_document,
-    random_oriented_graph,
-)
-from .errors import AssetMissing, ContractMalformed, SynthesisNotFound, UnknownPort
+from .digraph import Mode, OrientedGraph, disjoint_union, identify_vertices, parse_document
+from .errors import AssetMissing, ContractMalformed, UnknownPort
 from .solver import decide, enumerate_colourings, verify_colouring
 
 ASSET_NAMES = ("Hx", "He", "Fx", "Fe", "Jv", "Dv")
@@ -76,7 +68,6 @@ class GadgetSpec:
     graph: OrientedGraph
     ports: Mapping[str, int]  # read-only: a loaded spec is shared by every build
     contract: Contract
-    provenance: str = "reconstructed"
 
     def __post_init__(self):
         object.__setattr__(self, "ports", MappingProxyType(dict(self.ports)))
@@ -304,7 +295,7 @@ class VerificationReport:
         return out
 
 
-def _fact_label(fact: Fact, tn: int) -> str:
+def _fact_label(fact: Fact) -> str:
     kind = fact[0]
     if kind == "nonempty":
         return "nonempty"
@@ -323,20 +314,12 @@ def _fact_label(fact: Fact, tn: int) -> str:
 def verify_contract(
     graph: OrientedGraph,
     contract: Contract,
-    scope: Mapping[int, int] | None = None,
     subject: str = "gadget",
     node_budget: int | None = 50_000_000,
 ) -> VerificationReport:
-    """Enumerate every valid colouring and evaluate the contract facts.
-
-    `scope` optionally remaps the vertex ids the facts mention (used when the
-    contract of a gadget is checked inside a composition).
-    """
+    """Enumerate every valid colouring and evaluate the contract facts."""
     target = named_target(contract.target)
     mode = contract.mode
-
-    def resolve(v: int) -> int:
-        return scope[v] if scope is not None else v
 
     fixed = None
     if contract.anchor is not None:
@@ -344,7 +327,7 @@ def verify_contract(
             raise ContractMalformed(
                 f"anchored contract needs a vertex-transitive target, {contract.target} is not"
             )
-        fixed = {resolve(contract.anchor[0]): contract.anchor[1]}
+        fixed = {contract.anchor[0]: contract.anchor[1]}
 
     res = enumerate_colourings(graph, target, mode, fixed=fixed, node_budget=node_budget)
     witnesses = res.witnesses
@@ -361,15 +344,14 @@ def verify_contract(
 
     for fact in contract.facts:
         kind = fact[0]
-        label = _fact_label(fact, target.graph.n)
+        label = _fact_label(fact)
         if kind == "nonempty":
             reports.append(
                 FactReport(label, bool(witnesses), "" if witnesses else "no colourings")
             )
             continue
         if kind == "extends":
-            partial = {resolve(v): c for v, c in fact[1].items()}
-            res = decide(graph, target, mode, fixed=partial, node_budget=node_budget)
+            res = decide(graph, target, mode, fixed=fact[1], node_budget=node_budget)
             reports.append(
                 FactReport(label, res.sat, "" if res.sat else f"decide: {res.status}")
             )
@@ -378,13 +360,13 @@ def verify_contract(
             reports.append(FactReport(label, False, "vacuous: witness set empty"))
             continue
         if kind == "forced":
-            v, c = resolve(fact[1]), fact[2]
+            v, c = fact[1], fact[2]
             bad = next((w for w in witnesses if w[v] != c), None)
         elif kind == "equal":
-            u, v = resolve(fact[1]), resolve(fact[2])
+            u, v = fact[1], fact[2]
             bad = next((w for w in witnesses if w[u] != w[v]), None)
         elif kind == "range":
-            v, allowed = resolve(fact[1]), fact[2]
+            v, allowed = fact[1], fact[2]
             bad = next((w for w in witnesses if w[v] not in allowed), None)
         else:
             raise ContractMalformed(f"unknown fact kind {kind!r}")
@@ -405,10 +387,8 @@ def verify_contract(
     )
 
 
-def verify_gadget(spec: GadgetSpec, node_budget: int | None = 50_000_000) -> VerificationReport:
-    return verify_contract(
-        spec.graph, spec.contract, subject=spec.name, node_budget=node_budget
-    )
+def verify_gadget(spec: GadgetSpec) -> VerificationReport:
+    return verify_contract(spec.graph, spec.contract, subject=spec.name)
 
 
 # ---------------------------------------------------------------------------
@@ -490,48 +470,3 @@ def _ring_lemma(name, out_ports, mode, chain, pinned, free) -> list[Verification
         contract = Contract("T5", mode, (scope[(0, 0)], chain[0]), tuple(facts))
         out.append(verify_contract(graph, contract, subject=f"{name[0]}_{copies}"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# synthesis fallback
-# ---------------------------------------------------------------------------
-
-SYNTHESIS_MAX_VERTICES = 12
-
-
-def synthesize_gadget(
-    contract: Contract,
-    size_bound: int = SYNTHESIS_MAX_VERTICES,
-    port_count: int = 0,
-    seed: int = 0,
-    tries_per_size: int = 200,
-    node_budget: int = 20_000,
-) -> GadgetSpec:
-    """Bounded seeded search for a digon-free gadget satisfying the contract.
-
-    Sizes are tried in ascending order; within a size the empty graph first,
-    then seeded random orientations, so results are stable for a fixed seed.
-    Raises SynthesisNotFound when the bound is exhausted.
-    """
-    if size_bound > SYNTHESIS_MAX_VERTICES:
-        raise ValueError(f"size bound capped at {SYNTHESIS_MAX_VERTICES}")
-    referenced = [0, *(v for fact in contract.facts for v in _fact_vertices(fact))]
-    if contract.anchor is not None:
-        referenced.append(contract.anchor[0])
-    min_n = max(1, port_count, max(referenced) + 1)
-    rng = random.Random(seed)
-    for n in range(min_n, size_bound + 1):
-        candidates = [OrientedGraph(n)] + [
-            random_oriented_graph(rng, n, arc_p=0.25, loop_p=0.1) for _ in range(tries_per_size)
-        ]
-        for graph in candidates:
-            report = verify_contract(graph, contract, node_budget=node_budget)
-            if report.passed:
-                ports = {f"p{i}": i for i in range(port_count)}
-                return GadgetSpec(
-                    name=f"synth{n}", graph=graph, ports=ports,
-                    contract=contract, provenance="synthesized",
-                )
-    raise SynthesisNotFound(
-        f"no gadget on <= {size_bound} vertices satisfies the contract"
-    )

@@ -37,7 +37,6 @@ from .errors import (
     MalformedLine,
     NormalizationFailed,
     PortColourMismatch,
-    SquareExhausted,
     TemplateNotFound,
     VertexOutOfRange,
 )
@@ -279,20 +278,12 @@ def _build_t4(
     if degree > 3:
         raise DegreeTooHigh(f"max degree {degree} > 3")
     arcs = sorted(orient_edges(g).arcs)
-    square_names = ("s1", "s2", "s3")
-    used = [0] * g.n
+    # degree <= 3, so no vertex runs out of squares
+    free_squares = [iter(("s1", "s2", "s3")) for _ in range(g.n)]
     squares_used: dict[Edge, tuple[str, str]] = {}
     identifications = []
-
-    def claim(x: int) -> str:
-        if used[x] >= len(square_names):
-            raise SquareExhausted(f"source vertex {x} needs a fourth square")
-        name = square_names[used[x]]
-        used[x] += 1
-        return name
-
     for i, (u, v) in enumerate(arcs, start=g.n):
-        su, sv = claim(u), claim(v)
+        su, sv = next(free_squares[u]), next(free_squares[v])
         squares_used[(u, v)] = (su, sv)
         identifications += [((u, su), (i, port_a)), ((v, sv), (i, port_b))]
 

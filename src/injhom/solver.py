@@ -54,10 +54,6 @@ class SolveResult:
     def sat(self) -> bool:
         return self.status == SAT
 
-    @property
-    def count(self) -> int:
-        return len(self.witnesses)
-
 
 def difference_pairs(g: OrientedGraph, mode: Mode) -> set[tuple[int, int]]:
     """All vertex pairs forced to differ: pairs inside a mode-relevant neighbourhood."""

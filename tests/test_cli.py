@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 from injhom.cli import main
-from injhom.digraph import parse_graph
+from injhom.catalog import named_target
+from injhom.digraph import Mode, parse_graph
 from injhom.gadgets import asset_dir
+from injhom.poly import decide_small_target
 from injhom.reductions import UndirectedGraph, build_ios_t4, extract_edge_colouring, is_proper_edge_colouring
-from injhom.solver import decide
+from injhom.solver import decide, verify_colouring
 
 
 @pytest.fixture
@@ -73,11 +75,35 @@ def test_solve_fixed_and_fast_small(cycle_file, capsys):
     ])
     out = capsys.readouterr().out
     assert rc == 0 and "0=b" in out
+    # --fixed on a two-vertex target goes to the search and still answers
     rc = main([
         "solve", "--input", str(cycle_file), "--target", "TT2", "--mode", "ios",
-        "--fast-small",
+        "--fixed", "0=b",
     ])
-    assert rc == 0
+    out = capsys.readouterr().out
+    assert rc == 0 and "0=b" in out
+    # the 2-SAT path is chosen from the target, so the old flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "solve", "--input", str(cycle_file), "--target", "TT2", "--mode", "ios",
+            "--fast-small",
+        ])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["in", "ios", "iot"])
+def test_solve_two_vertex_target_witness_verifies(tmp_path, capsys, mode):
+    path = tmp_path / "path.graph"
+    path.write_text("n 4\na 0 0\na 0 1\na 1 2\na 3 2\n")
+    rc = main(["solve", "--input", str(path), "--target", "TT2", "--mode", mode])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and lines[0] == "Sat (1 witness)"
+    witness = tuple("ab".index(item.split("=")[1]) for item in lines[1].split())
+    g, tt2 = parse_graph(path.read_text()), named_target("TT2")
+    ok, why = verify_colouring(g, tt2, witness, Mode.parse(mode))
+    assert ok, why
+    # the 2-SAT decider answered (in mode `in` its witness differs from the search's)
+    assert [witness] == decide_small_target(g, tt2, Mode.parse(mode)).witnesses
 
 
 def test_catalog_list_counts(capsys):

@@ -9,7 +9,6 @@ from injhom.digraph import (
     identify_vertices,
     induced_subgraph,
     is_strongly_connected,
-    neighbourhood,
     parse_graph,
     serialize_graph,
 )
@@ -30,8 +29,8 @@ def test_parse_simple_arc():
 
 def test_parse_loop_gives_self_in_neighbourhood():
     g = parse_graph("n 1\na 0 0")
-    assert neighbourhood(g, 0, "in").members == {0}
-    assert neighbourhood(g, 0, "out").members == {0}
+    assert g.in_set(0) == {0}
+    assert g.out_set(0) == {0}
 
 
 def test_parse_digon_rejected():
@@ -72,12 +71,12 @@ def test_serialize_orders_arcs():
 
 def test_neighbourhood_directions():
     g = OrientedGraph(2, [(0, 1)])
-    assert neighbourhood(g, 1, "in").members == {0}
+    assert g.in_set(1) == {0}
     g2 = OrientedGraph(2, [(0, 0), (0, 1)])
-    assert neighbourhood(g2, 0, "out").members == {0, 1}
-    assert neighbourhood(g2, 0, "both").members == {0, 1}
+    assert g2.out_set(0) == {0, 1}
+    assert g2.both_set(0) == {0, 1}
     with pytest.raises(VertexOutOfRange):
-        neighbourhood(g, 5, "in")
+        g.in_set(5)
 
 
 def test_mode_sets_loop_convention():
