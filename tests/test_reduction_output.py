@@ -74,3 +74,56 @@ def test_reduction_output_pinned(kind, tmp_path, capsys):
     assert (tmp_path / "inst.graph.map").read_text() == sidecar + "\n"
 
     assert (_digest(instance), _digest(sidecar), _digest(stdout)) == GOLDEN_OUTPUT[kind]
+
+
+# More ring shapes, recorded before the ring builders were merged into one:
+# case -> (kind, source text, extra reduce arguments, builder call)
+RING_CASES = {
+    "ios-t5-empty": ("ios-t5", "n 0\n", [], lambda text: build_ios_t5(parse_graph(text))),
+    "collapse-ios-empty": ("collapse-ios", "n 0\n", ["--target", "TT5", "--pivot", "a"],
+                         lambda text: build_ios_collapse(parse_graph(text), TT5, 0, "out")),
+    "collapse-iot-empty": ("collapse-iot", "n 0\n", ["--target", "TT5", "--pivot", "a"],
+                         lambda text: build_iot_collapse(parse_graph(text), TT5, 0, "out")),
+    "collapse-ios-in": ("collapse-ios", "n 3\na 0 1\na 2 1\n",
+                        ["--target", "TT5", "--pivot", "e", "--direction", "in"],
+                        lambda text: build_ios_collapse(parse_graph(text), TT5, 4, "in")),
+    "collapse-iot-out": ("collapse-iot", "n 3\na 0 1\na 1 2\n",
+                         ["--target", "TT5", "--pivot", "a", "--direction", "out"],
+                         lambda text: build_iot_collapse(parse_graph(text), TT5, 0, "out")),
+    "collapse-ios-pivot-b": ("collapse-ios", "n 3\na 1 0\na 1 2\n",
+                             ["--target", "TT5", "--pivot", "b"],
+                             lambda text: build_ios_collapse(parse_graph(text), TT5, 1, "out")),
+    "collapse-iot-pivot-b": ("collapse-iot", "n 3\na 1 0\na 1 2\n",
+                             ["--target", "TT5", "--pivot", "b"],
+                             lambda text: build_iot_collapse(parse_graph(text), TT5, 1, "out")),
+}
+
+# case -> (instance text, map lines, reduce stdout with the output path blanked)
+GOLDEN_RING_OUTPUT = {
+    "collapse-ios-in": ("a10ff0d590ed6ae4", "a0cecadac04be960", "a8304f3469297132"),
+    "collapse-ios-empty": ("10c10046706349d1", "b71e0a16cdd54bf3", "ded77c7fcc7ae637"),
+    "collapse-ios-pivot-b": ("0363d34d70a45205", "ef3b061907e33dc3", "b0798ed992f6dee9"),
+    "collapse-iot-empty": ("620a1074d0f09aa1", "96d94a1f158e1cd6", "eaa5106f344d2fba"),
+    "collapse-iot-out": ("d871ce323010ae54", "937e9a29c926dbd7", "85da13452064ab81"),
+    "collapse-iot-pivot-b": ("52606a39335c077b", "7a696ed57c1f7fcb", "53134b0962d6097c"),
+    "ios-t5-empty": ("678002027738d341", "c793019ba7d99535", "f6ebc0f9030dc577"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RING_CASES))
+def test_ring_output_pinned(case, tmp_path, capsys):
+    kind, text, extra, build = RING_CASES[case]
+    ri = build(text)
+    instance = serialize_graph(ri.graph)
+    sidecar = "\n".join(ri.map_lines())
+
+    src = tmp_path / "src.graph"
+    src.write_text(text)
+    out = tmp_path / "inst.graph"
+    rc = main(["reduce", "--kind", kind, "--input", str(src), "--output", str(out)] + extra)
+    assert rc == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    assert out.read_text() == serialize_graph(ri.graph, header=f"reduction {kind}") + "\n"
+    assert (tmp_path / "inst.graph.map").read_text() == sidecar + "\n"
+
+    assert (_digest(instance), _digest(sidecar), _digest(stdout)) == GOLDEN_RING_OUTPUT[case]
