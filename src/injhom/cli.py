@@ -52,6 +52,8 @@ def _witness_line(witness) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.mod_aut and args.enumerate is None:
+        raise InjhomError("--mod-aut needs --enumerate")
     g = parse_graph(Path(args.input).read_text())
     target = _load_target(args.target)
     mode = Mode.parse(args.mode)

@@ -232,29 +232,45 @@ def compose(
     return merged, scope
 
 
-def ring_arcs(
-    spec: GadgetSpec, offsets: Sequence[int], out_ports: Sequence[str], in_port: str
-) -> list[tuple[int, int]]:
-    """The cyclic wiring: copy i's out ports feed copy i+1's in port.
-
-    `offsets[i]` is the first vertex id of copy i in the graph being built.
-    """
-    outs = [spec.port(p) for p in out_ports]
-    into = spec.port(in_port)
-    nxt = offsets[1:] + offsets[:1]
-    return [(off + p, after + into) for off, after in zip(offsets, nxt) for p in outs]
+Link = tuple[int, int, int, int, int]  # (layer a, label p, layer b, label q, step)
 
 
 def ring(
-    spec: GadgetSpec, copies: int, out_ports: Sequence[str], in_port: str
-) -> tuple[OrientedGraph, ScopeMap]:
-    """Cyclic composition: each copy's out ports feed the next copy's in port."""
-    union, offsets = disjoint_union([spec.graph] * copies)
-    graph = OrientedGraph(union.n, union.arcs.union(ring_arcs(spec, offsets, out_ports, in_port)))
-    scope: ScopeMap = {
-        (i, v): offsets[i] + v for i in range(copies) for v in range(spec.graph.n)
-    }
-    return graph, scope
+    prefix: OrientedGraph, units: Sequence[OrientedGraph], copies: int, links: Sequence[Link]
+) -> tuple[OrientedGraph, list[list[int]]]:
+    """Copies of each unit chained into a ring behind `prefix`.
+
+    Layer 0 is `prefix`, whose vertex i stands for copy i.  Layer k >= 1 holds
+    `copies` copies of `units[k-1]`, numbered in that order after the layers
+    before it.  Each link (a, p, b, q, step) adds, for every copy i, the arc
+    from label p of copy i in layer a to label q of copy (i + step) mod
+    `copies` in layer b.  Returns the graph and, per layer, the first vertex
+    id of each copy.
+    """
+    arcs = list(prefix.arcs)
+    starts = [list(range(copies))]
+    total = prefix.n
+    for unit in units:
+        offs = [total + i * unit.n for i in range(copies)]
+        arcs.extend((off + u, off + v) for off in offs for u, v in unit.arcs)
+        starts.append(offs)
+        total += copies * unit.n
+    arcs.extend(
+        (starts[a][i] + p, starts[b][(i + step) % copies] + q)
+        for a, p, b, q, step in links
+        for i in range(copies)
+    )
+    return OrientedGraph(total, arcs), starts
+
+
+# the chain gadgets' ring wiring: each copy's out ports feed the next copy's in0
+RING_OUT_PORTS = {"Jv": ("out17", "out18", "out19"), "Dv": ("out8",)}
+
+
+def ring_links(spec: GadgetSpec) -> list[Link]:
+    """The links of a ring of `spec` copies in layer 1."""
+    into = spec.port("in0")
+    return [(1, spec.port(p), 1, into, 1) for p in RING_OUT_PORTS[spec.name]]
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +345,8 @@ def verify_contract(
             )
         fixed = {contract.anchor[0]: contract.anchor[1]}
 
-    res = enumerate_colourings(graph, target, mode, fixed=fixed, node_budget=node_budget)
-    witnesses = res.witnesses
+    found = enumerate_colourings(graph, target, mode, fixed=fixed, node_budget=node_budget)
+    witnesses = found.witnesses
 
     reports: list[FactReport] = []
     counterexample = None
@@ -382,7 +398,7 @@ def verify_contract(
         mode=mode.value,
         facts=reports,
         witness_count=len(witnesses),
-        complete=res.complete,
+        complete=found.complete,
         counterexample=counterexample,
     )
 
@@ -409,15 +425,14 @@ _EDGE_LEMMAS = {
 }
 _SQUARES = ("s1", "s2", "s3")
 
-# ring lemmas, checked on rings of 2 and 3 copies with vertex 0 of copy 0 as
-# the anchor.  lemma -> (gadget, out ports, mode, the forced chain of every
-# copy as label -> colour with the anchor label 0 first, and the `extends`
-# pre-colouring: a pinned (label, colour) plus the label that takes each of
-# a, b, c in turn)
+# ring lemmas, checked on rings (wired by `ring_links`) of 2 and 3 copies with
+# vertex 0 of copy 0 as the anchor.  lemma -> (gadget, mode, the forced chain
+# of every copy as label -> colour with the anchor label 0 first, and the
+# `extends` pre-colouring: a pinned (label, colour) plus the label that takes
+# each of a, b, c in turn)
 _RING_LEMMAS = {
-    "3.4": ("Jv", ("out17", "out18", "out19"), Mode.IOS,
-            {0: 0, 4: 2, 8: 4, 12: 1, 16: 3}, (8, 0), 11),  # a; c, e, b, d
-    "4.5": ("Dv", ("out8",), Mode.IOT, {0: 3, 4: 0, 8: 2}, (0, 3), 5),  # d, a, c
+    "3.4": ("Jv", Mode.IOS, {0: 0, 4: 2, 8: 4, 12: 1, 16: 3}, (8, 0), 11),  # a; c, e, b, d
+    "4.5": ("Dv", Mode.IOT, {0: 3, 4: 0, 8: 2}, (0, 3), 5),  # d, a, c
 }
 
 
@@ -453,20 +468,19 @@ def _edge_lemma(edge_name, vertex_name, ends, mode) -> list[VerificationReport]:
     return out
 
 
-def _ring_lemma(name, out_ports, mode, chain, pinned, free) -> list[VerificationReport]:
+def _ring_lemma(name, mode, chain, pinned, free) -> list[VerificationReport]:
     spec = load_gadget(name)
     out = []
     for copies in (2, 3):
-        graph, scope = ring(spec, copies, out_ports, "in0")
+        graph, starts = ring(OrientedGraph(0), [spec.graph], copies, ring_links(spec))
+        first = starts[1][0]
         facts: list[Fact] = [("nonempty",)]
-        for i in range(copies):
-            facts.extend(
-                ("forced", scope[(i, v)], c) for v, c in chain.items() if i > 0 or v > 0
-            )
+        for i, off in enumerate(starts[1]):
+            facts.extend(("forced", off + v, c) for v, c in chain.items() if i > 0 or v > 0)
         # forward-direction pre-colourings: with the pinned vertex fixed, the
         # free vertex of copy 0 can take each of a, b and c
         for c in (0, 1, 2):
-            facts.append(("extends", {scope[(0, pinned[0])]: pinned[1], scope[(0, free)]: c}))
-        contract = Contract("T5", mode, (scope[(0, 0)], chain[0]), tuple(facts))
+            facts.append(("extends", {first + pinned[0]: pinned[1], first + free: c}))
+        contract = Contract("T5", mode, (first, chain[0]), tuple(facts))
         out.append(verify_contract(graph, contract, subject=f"{name[0]}_{copies}"))
     return out

@@ -16,10 +16,13 @@ source problem and source solutions lifted to full instance colourings.  The
 kinds differ only in those fields: the t4 kinds share one edge-colouring lift
 rule, the t5 and collapse kinds one vertex-colouring lift and extract rule.
 
-Ring constructions on fewer than two source vertices are padded with
-isolated dummy vertices: a one-copy ring would close an arc pair into a
-digon, and an isolated dummy is always colourable, so padding preserves the
-yes/no answer.
+The t5 and collapse kinds are rings built by `gadgets.ring`: a ring kind is
+its units (the graphs copied once per source vertex: a chain gadget, or the
+target's copies with the x-vertices or the T* copies) plus its links (the arcs
+from each copy to its successor and to the source vertex it stands for).
+Rings on fewer than two source vertices are padded with isolated dummy
+vertices: a one-copy ring would close an arc pair into a digon, and an
+isolated dummy is always colourable, so padding preserves the yes/no answer.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from itertools import chain
 from typing import Mapping
 
 from .catalog import Target, named_target
-from .digraph import Mode, OrientedGraph, disjoint_union, induced_subgraph
+from .digraph import Mode, OrientedGraph, induced_subgraph
 from .errors import (
     DegreeTooHigh,
     DegreeTooLow,
@@ -40,7 +43,7 @@ from .errors import (
     TemplateNotFound,
     VertexOutOfRange,
 )
-from .gadgets import GadgetSpec, compose, load_gadget, ring_arcs
+from .gadgets import GadgetSpec, Link, compose, load_gadget, ring, ring_links
 from .solver import decide, verify_colouring
 
 Edge = tuple[int, int]
@@ -322,22 +325,27 @@ def build_iot_t4(g: UndirectedGraph) -> ReductionInstance:
     )
 
 
-# -- T5 reductions (from C3-colourability) ----------------------------------
-
-
-def _pad_isolated(g: OrientedGraph, minimum: int) -> tuple[OrientedGraph, int]:
-    if g.n >= minimum:
-        return g, 0
-    extra = minimum - g.n
-    return OrientedGraph(minimum, g.arcs), extra
+# -- ring reductions: T5 from C3-colourability, and the collapse kinds -------
 
 
 def _ring_instance(
-    kind: str, mode: Mode, g: OrientedGraph, graph: OrientedGraph, target: Target,
-    extra: int, copies: list[int], size: int, **fields,
+    kind: str, mode: Mode, g: OrientedGraph, target: Target, units: Mapping[str, OrientedGraph],
+    links: list[Link], anchor_label: int, anchor_colour: int, **fields,
 ) -> ReductionInstance:
-    """A t5 or collapse instance: the padded source first, so its vertices keep
-    their ids, then one ring copy of `size` vertices at each offset in `copies`."""
+    """A t5 or collapse instance: a `ring` with one copy of each unit per source
+    vertex, behind the source padded to 2 vertices, so the source keeps its ids.
+
+    `units` maps the field that records each unit layer's copies to the unit;
+    the one-vertex x-vertex layer is recorded as copy -> vertex.  The anchor is
+    `anchor_label` of the first copy of the first unit.
+    """
+    extra = max(0, 2 - g.n)
+    prefix = OrientedGraph(2, g.arcs) if extra else g
+    graph, starts = ring(prefix, list(units.values()), prefix.n, links)
+    for (name, unit), offs in zip(units.items(), starts[1:]):
+        fields[name] = dict(enumerate(offs)) if name == "x_vertices" else {
+            i: {lbl: off + lbl for lbl in range(unit.n)} for i, off in enumerate(offs)
+        }
     return ReductionInstance(
         kind=kind,
         graph=graph,
@@ -346,48 +354,34 @@ def _ring_instance(
         source_n=g.n,
         padded=extra,
         inner={v: v for v in range(g.n)},
-        vertex_gadget={
-            i: {lbl: off + lbl for lbl in range(size)} for i, off in enumerate(copies)
-        },
         source=g,
+        anchor_vertex=starts[1][0] + anchor_label,
+        anchor_colour=anchor_colour,
         **fields,
     )
 
 
 def _build_t5(
     g: OrientedGraph, kind: str, mode: Mode, spec: GadgetSpec,
-    out_ports: tuple[str, ...], anchor_label: int, anchor_colour: int,
+    anchor_label: int, anchor_colour: int,
 ) -> ReductionInstance:
-    padded, extra = _pad_isolated(g, 2)
-    union, offsets = disjoint_union([padded] + [spec.graph] * padded.n)
-    copies = offsets[1:]
-    attach = spec.port("attach")
-    arcs = union.arcs.union(
-        ring_arcs(spec, copies, out_ports, "in0"),
-        ((off + attach, i) for i, off in enumerate(copies)),
-    )
+    """A ring of `spec` copies, copy i attached to source vertex i."""
+    links = ring_links(spec) + [(1, spec.port("attach"), 0, 0, 0)]
     return _ring_instance(
-        kind, mode, g, OrientedGraph(union.n, arcs), named_target("T5"),
-        extra, copies, spec.graph.n,
+        kind, mode, g, named_target("T5"), {"vertex_gadget": spec.graph}, links,
+        anchor_label, anchor_colour,
         source_target=named_target("C3"), embedding=C3_EMBEDDING,
-        anchor_vertex=copies[0] + anchor_label, anchor_colour=anchor_colour,
     )
 
 
 def build_ios_t5(g: OrientedGraph) -> ReductionInstance:
     # vertex 8 of every copy is forced (up to automorphism) to colour a
-    return _build_t5(
-        g, "ios-t5", Mode.IOS, load_gadget("Jv"),
-        ("out17", "out18", "out19"), anchor_label=8, anchor_colour=0,
-    )
+    return _build_t5(g, "ios-t5", Mode.IOS, load_gadget("Jv"), anchor_label=8, anchor_colour=0)
 
 
 def build_iot_t5(g: OrientedGraph) -> ReductionInstance:
     # vertex 0 of every copy is forced (up to automorphism) to colour d
-    return _build_t5(
-        g, "iot-t5", Mode.IOT, load_gadget("Dv"),
-        ("out8",), anchor_label=0, anchor_colour=3,
-    )
+    return _build_t5(g, "iot-t5", Mode.IOT, load_gadget("Dv"), anchor_label=0, anchor_colour=3)
 
 
 # -- collapse reductions -----------------------------------------------------
@@ -435,22 +429,11 @@ def build_ios_collapse(
 ) -> ReductionInstance:
     """Ring of irreflexive target copies with x-vertices feeding the source."""
     fields = _collapse_fields(t, v, direction)
-    padded, extra = _pad_isolated(g, 2)
-    n = padded.n
-    union, offsets = disjoint_union([padded] + [_irreflexive(t.graph)] * n)
-    copies = offsets[1:]
-    x0 = union.n  # x_i gets id x0 + i
-    arcs = set(union.arcs)
-    for i in range(n):
-        x_i = x0 + i
-        arcs.add((x_i, i) if direction == "out" else (i, x_i))
-        arcs.add((copies[i] + v, x_i))
-        arcs.add((x_i, copies[(i + 1) % n] + v))
-    return _ring_instance(
-        "collapse-ios", Mode.IOS, g, OrientedGraph(x0 + n, arcs), t,
-        extra, copies, t.graph.n, anchor_vertex=copies[0] + v, anchor_colour=v,
-        x_vertices={i: x0 + i for i in range(n)}, **fields,
-    )
+    # layer 1: the copies of T; layer 2: x_i, between the pivots of copies i and i+1
+    feed = (2, 0, 0, 0, 0) if direction == "out" else (0, 0, 2, 0, 0)
+    links = [feed, (1, v, 2, 0, 0), (2, 0, 1, v, 1)]
+    units = {"vertex_gadget": _irreflexive(t.graph), "x_vertices": OrientedGraph(1)}
+    return _ring_instance("collapse-ios", Mode.IOS, g, t, units, links, v, v, **fields)
 
 
 def build_iot_collapse(
@@ -458,32 +441,18 @@ def build_iot_collapse(
 ) -> ReductionInstance:
     """Paired rings of irreflexive T and T* copies chained vertex-wise."""
     fields = _collapse_fields(t, v, direction)
-    padded, extra = _pad_isolated(g, 2)
-    n = padded.n
-    tn = t.graph.n
     if direction == "out":
         star_arcs = [(a, b) for a, b in t.graph.arcs if a != v]
     else:
         star_arcs = [(a, b) for a, b in t.graph.arcs if b != v]
-    t_star = _irreflexive(OrientedGraph(tn, star_arcs))
-    union, offsets = disjoint_union(
-        [padded] + [_irreflexive(t.graph)] * n + [t_star] * n
-    )
-    t_off = offsets[1:1 + n]
-    s_off = offsets[1 + n:]
-    arcs = set(union.arcs)
-    for i in range(n):
-        for u in range(tn):
-            if u != v:
-                arcs.add((s_off[(i - 1) % n] + u, t_off[i] + u))
-        arcs.add((t_off[i] + v, s_off[i] + v))
-        arcs.add((s_off[i] + v, i) if direction == "out" else (i, s_off[i] + v))
-    return _ring_instance(
-        "collapse-iot", Mode.IOT, g, OrientedGraph(union.n, arcs), t,
-        extra, t_off, tn, anchor_vertex=t_off[0] + v, anchor_colour=v,
-        star_gadget={i: {lbl: off + lbl for lbl in range(tn)} for i, off in enumerate(s_off)},
-        **fields,
-    )
+    # layer 1: the copies of T; layer 2: the copies of T*, whose pivot feeds the source
+    feed = (2, v, 0, 0, 0) if direction == "out" else (0, 0, 2, v, 0)
+    links = [(2, u, 1, u, 1) for u in range(t.graph.n) if u != v] + [(1, v, 2, v, 0), feed]
+    units = {
+        "vertex_gadget": _irreflexive(t.graph),
+        "star_gadget": _irreflexive(OrientedGraph(t.graph.n, star_arcs)),
+    }
+    return _ring_instance("collapse-iot", Mode.IOT, g, t, units, links, v, v, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ def test_solve_bad_input_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_mod_aut_needs_enumerate(cycle_file, capsys):
+    rc = main(["solve", "--input", str(cycle_file), "--target", "C3", "--mode", "ios",
+               "--mod-aut"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--mod-aut needs --enumerate" in captured.err
+    rc = main(["solve", "--input", str(cycle_file), "--target", "C3", "--mode", "ios",
+               "--mod-aut", "--enumerate", "all"])
+    assert rc == 0 and "orbits" in capsys.readouterr().out
+
+
 def test_solve_enumerate_hx_shows_forced_d(capsys):
     hx = asset_dir() / "Hx.graph"
     rc = main([

@@ -16,6 +16,7 @@ from injhom.gadgets import (
     load_gadget,
     parse_contract,
     ring,
+    ring_links,
     serialize_contract,
     verify_contract,
     verify_gadget,
@@ -200,9 +201,27 @@ def test_budget_exhaustion_is_not_a_pass():
     assert not report.passed
 
 
+@pytest.mark.parametrize("name, budget", [("Hx", 181), ("He", 19), ("Fx", 37), ("Fe", 46)])
+def test_partial_witness_set_is_not_a_pass(name, budget):
+    # the budget runs out after the first witnesses; the extends facts that
+    # follow must not make the report look complete
+    spec = load_gadget(name)
+    report = verify_contract(spec.graph, spec.contract, node_budget=budget)
+    assert 0 < report.witness_count
+    assert not report.complete
+    assert not report.passed
+    assert "BUDGET EXHAUSTED" in report.lines()[0]
+
+
 def test_ring_shape():
     jv = load_gadget("Jv")
-    graph, scope = ring(jv, 2, ("out17", "out18", "out19"), "in0")
-    assert graph.n == 40
-    assert (scope[(0, 17)], scope[(1, 0)]) in {(17, 20)} and graph.has_arc(17, 20)
-    assert graph.has_arc(scope[(1, 19)], scope[(0, 0)])
+    graph, starts = ring(OrientedGraph(0), [jv.graph], 2, ring_links(jv))
+    assert graph.n == 40 and starts == [[0, 1], [0, 20]]
+    assert graph.has_arc(17, 20) and graph.has_arc(39, 0)
+    # four copies: copy i's three out ports feed copy i+1's in port, and the
+    # last copy closes the ring onto the first
+    graph, starts = ring(OrientedGraph(0), [jv.graph], 4, ring_links(jv))
+    assert graph.n == 80 and starts[1] == [0, 20, 40, 60]
+    for off, nxt in zip(starts[1], [20, 40, 60, 0]):
+        assert all(graph.has_arc(off + p, nxt) for p in (17, 18, 19))
+    assert graph.arc_count == 4 * (jv.graph.arc_count + 3)

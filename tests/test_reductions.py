@@ -16,7 +16,7 @@ from injhom.errors import (
     TemplateNotFound,
     VertexOutOfRange,
 )
-from injhom.gadgets import asset_dir
+from injhom.gadgets import asset_dir, load_gadget, ring, ring_links
 from injhom.reductions import (
     EDGE_COLOURS,
     UndirectedGraph,
@@ -232,6 +232,17 @@ def test_build_ios_t5_padding():
     # one attachment arc per ring slot, including the dummy
     attach = ri.vertex_gadget[0][11]
     assert ri.graph.has_arc(attach, ri.inner[0])
+
+
+@pytest.mark.parametrize("build, name", [(build_ios_t5, "Jv"), (build_iot_t5, "Dv")])
+def test_t5_ring_is_the_lemma_ring(build, name):
+    # the reduction wires its copies exactly as the ring lemma checks them
+    spec = load_gadget(name)
+    for n in (2, 3, 4):
+        ri = build(_random_oriented(random.Random(n), n))
+        among_copies = {(u - n, v - n) for u, v in ri.graph.arcs if u >= n and v >= n}
+        lemma_ring, _ = ring(OrientedGraph(0), [spec.graph], n, ring_links(spec))
+        assert among_copies == set(lemma_ring.arcs)
 
 
 def test_build_t5_three_cycle_sat():
