@@ -427,11 +427,12 @@ def _collapse_fields(t: Target, v: int, direction: str) -> dict:
 def build_ios_collapse(
     g: OrientedGraph, t: Target, v: int, direction: str = "out"
 ) -> ReductionInstance:
-    """Ring of irreflexive target copies with x-vertices feeding the source."""
+    """Ring of irreflexive target copies, an x-vertex between consecutive pivots."""
     fields = _collapse_fields(t, v, direction)
-    # layer 1: the copies of T; layer 2: x_i, between the pivots of copies i and i+1
-    feed = (2, 0, 0, 0, 0) if direction == "out" else (0, 0, 2, 0, 0)
-    links = [feed, (1, v, 2, 0, 0), (2, 0, 1, v, 1)]
+    # layer 1: the copies of T; layer 2: x_i, between the pivots of copies i
+    # and i+1, and joined to source vertex i in the pivot's direction
+    source_link = (2, 0, 0, 0, 0) if direction == "out" else (0, 0, 2, 0, 0)
+    links = [source_link, (1, v, 2, 0, 0), (2, 0, 1, v, 1)]
     units = {"vertex_gadget": _irreflexive(t.graph), "x_vertices": OrientedGraph(1)}
     return _ring_instance("collapse-ios", Mode.IOS, g, t, units, links, v, v, **fields)
 
@@ -445,9 +446,12 @@ def build_iot_collapse(
         star_arcs = [(a, b) for a, b in t.graph.arcs if a != v]
     else:
         star_arcs = [(a, b) for a, b in t.graph.arcs if b != v]
-    # layer 1: the copies of T; layer 2: the copies of T*, whose pivot feeds the source
-    feed = (2, v, 0, 0, 0) if direction == "out" else (0, 0, 2, v, 0)
-    links = [(2, u, 1, u, 1) for u in range(t.graph.n) if u != v] + [(1, v, 2, v, 0), feed]
+    # layer 1: the copies of T; layer 2: the copies of T*.  Copy i's pivot
+    # feeds T*_i's pivot, which is joined to source vertex i in the pivot's
+    # direction; T*_i's other vertices feed the same vertices of copy i+1
+    source_link = (2, v, 0, 0, 0) if direction == "out" else (0, 0, 2, v, 0)
+    links = [(2, u, 1, u, 1) for u in range(t.graph.n) if u != v]
+    links += [(1, v, 2, v, 0), source_link]
     units = {
         "vertex_gadget": _irreflexive(t.graph),
         "star_gadget": _irreflexive(OrientedGraph(t.graph.n, star_arcs)),

@@ -81,9 +81,9 @@ def test_reduction_output_pinned(kind, tmp_path, capsys):
 RING_CASES = {
     "ios-t5-empty": ("ios-t5", "n 0\n", [], lambda text: build_ios_t5(parse_graph(text))),
     "collapse-ios-empty": ("collapse-ios", "n 0\n", ["--target", "TT5", "--pivot", "a"],
-                         lambda text: build_ios_collapse(parse_graph(text), TT5, 0, "out")),
+                           lambda text: build_ios_collapse(parse_graph(text), TT5, 0, "out")),
     "collapse-iot-empty": ("collapse-iot", "n 0\n", ["--target", "TT5", "--pivot", "a"],
-                         lambda text: build_iot_collapse(parse_graph(text), TT5, 0, "out")),
+                           lambda text: build_iot_collapse(parse_graph(text), TT5, 0, "out")),
     "collapse-ios-in": ("collapse-ios", "n 3\na 0 1\na 2 1\n",
                         ["--target", "TT5", "--pivot", "e", "--direction", "in"],
                         lambda text: build_ios_collapse(parse_graph(text), TT5, 4, "in")),
