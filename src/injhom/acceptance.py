@@ -39,7 +39,7 @@ from .reductions import (
     lift_colouring,
     three_edge_colouring_oracle,
 )
-from .solver import decide, enumerate_colourings, verify_colouring
+from .solver import decide, enumerate_colourings, enumerate_mod_aut, verify_colouring
 
 DEFAULT_SEED = 2018
 
@@ -137,6 +137,12 @@ def _solver_battery(seed: int) -> tuple[bool, str, bool, str]:
     for _ in range(200):
         instances.append(random_oriented_graph(rng, rng.choice((5, 6))))
     targets = [named_target(name) for name in BATTERY_TARGETS]
+    # the groups by brute force over S_n, independent of the solver's root rule
+    auts = {
+        t.name: [p for p in itertools.permutations(range(t.n))
+                 if all((p[u], p[v]) in t.graph.arcs for u, v in t.graph.arcs)]
+        for t in targets
+    }
 
     checked = 0
     for g in instances:
@@ -144,23 +150,25 @@ def _solver_battery(seed: int) -> tuple[bool, str, bool, str]:
             sets = {}
             for mode in MODES:
                 ref = naive_witnesses(g, t, mode)
-                res = enumerate_colourings(g, t, mode)
-                if res.witnesses != ref:
+                sets[mode] = valid = set(ref)
+                mismatch = None
+                if enumerate_colourings(g, t, mode).witnesses != ref:
+                    mismatch = "witness"
+                else:
+                    d = decide(g, t, mode)
+                    if d.sat != bool(ref) or (d.sat and d.witnesses[0] not in valid):
+                        mismatch = "decide"
+                    elif enumerate_mod_aut(g, t, mode).witnesses != _lex_leaders(
+                        ref, auts[t.name]
+                    ):
+                        mismatch = "mod-aut"
+                if mismatch:
                     return (
                         False,
-                        f"witness mismatch on {g!r} vs {t.name} ({mode.value})",
+                        f"{mismatch} mismatch on {g!r} vs {t.name} ({mode.value})",
                         False,
                         "not evaluated",
                     )
-                d = decide(g, t, mode)
-                if d.sat != bool(ref):
-                    return (
-                        False,
-                        f"decide mismatch on {g!r} vs {t.name} ({mode.value})",
-                        False,
-                        "not evaluated",
-                    )
-                sets[mode] = set(res.witnesses)
                 checked += 1
             if not (sets[Mode.IOT] <= sets[Mode.IOS] <= sets[Mode.IN]):
                 return (
@@ -174,6 +182,15 @@ def _solver_battery(seed: int) -> tuple[bool, str, bool, str]:
         f"({exhaustive} exhaustive graphs + 200 random)"
     )
     return True, detail, True, detail
+
+
+def _lex_leaders(witnesses, auts) -> list[tuple[int, ...]]:
+    """The witnesses that no automorphism maps lexicographically lower.
+
+    For a witness set closed under the group, in order, that is the least
+    member of every orbit.  auts[0] is the identity.
+    """
+    return [w for w in witnesses if all(tuple(p[c] for c in w) >= w for p in auts[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -88,16 +88,41 @@ def _colour_masks(g: OrientedGraph) -> ColourMasks:
     return ColourMasks(out, into, loops, capacity)
 
 
-class Target:
-    """A colour space: a digraph together with its cached automorphisms and masks."""
+class RootSymmetry(NamedTuple):
+    """A target's automorphisms in the form the search's root rule reads.
 
-    __slots__ = ("graph", "name", "_auts", "_masks")
+    A colouring post-composed with an automorphism is again a colouring, so
+    the lexicographically least member of an orbit starts with a root
+    colour, and only the stabiliser of that colour can map it lower.
+    """
+
+    roots: int  # the orbit-minimal colours: no automorphism maps c below c
+    # stabilisers[c]: the non-identity automorphisms fixing root colour c;
+    # empty for the other colours
+    stabilisers: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _root_symmetry(n: int, auts) -> RootSymmetry:
+    roots = [c for c in range(n) if all(pi[c] >= c for pi in auts)]
+    identity = tuple(range(n))
+    stabilisers = tuple(
+        tuple(pi for pi in auts if pi[c] == c and pi != identity) if c in roots else ()
+        for c in range(n)
+    )
+    return RootSymmetry(sum(1 << c for c in roots), stabilisers)
+
+
+class Target:
+    """A colour space: a digraph with its cached automorphisms, masks and root symmetry."""
+
+    __slots__ = ("graph", "name", "_auts", "_masks", "_symmetry")
 
     def __init__(self, graph: OrientedGraph, name: str | None = None):
         self.graph = graph
         self.name = name
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._masks: ColourMasks | None = None
+        self._symmetry: RootSymmetry | None = None
 
     def __setattr__(self, attr, value):
         if attr in ("graph", "name") and hasattr(self, attr):
@@ -130,6 +155,13 @@ class Target:
         if self._masks is None:
             self._masks = _colour_masks(self.graph)
         return self._masks
+
+    def root_symmetry(self) -> RootSymmetry:
+        """Root colours and their stabilisers, from `automorphisms()`; like
+        it, limited to CANONICAL_MAX vertices."""
+        if self._symmetry is None:
+            self._symmetry = _root_symmetry(self.n, self.automorphisms())
+        return self._symmetry
 
     def __repr__(self):
         label = self.name or f"<{self.graph.n}-vertex target>"

@@ -54,6 +54,8 @@ def _witness_line(witness) -> str:
 def cmd_solve(args) -> int:
     if args.mod_aut and args.enumerate is None:
         raise InjhomError("--mod-aut needs --enumerate")
+    if args.mod_aut and args.fixed:
+        raise InjhomError("--mod-aut cannot be combined with --fixed")
     g = parse_graph(Path(args.input).read_text())
     target = _load_target(args.target)
     mode = Mode.parse(args.mode)
@@ -64,8 +66,11 @@ def cmd_solve(args) -> int:
 
     if args.enumerate is not None:
         limit = None if args.enumerate == "all" else int(args.enumerate)
-        fn = enumerate_mod_aut if args.mod_aut else enumerate_colourings
-        res = fn(g, target, mode, fixed=fixed, limit=limit, node_budget=args.budget)
+        if args.mod_aut:
+            res = enumerate_mod_aut(g, target, mode, limit=limit, node_budget=args.budget)
+        else:
+            res = enumerate_colourings(g, target, mode, fixed=fixed, limit=limit,
+                                       node_budget=args.budget)
     elif not fixed and target.graph.n <= 2 and target.reflexive and target.is_tournament:
         res = decide_small_target(g, target, mode)
     else:
@@ -85,6 +90,10 @@ def cmd_solve(args) -> int:
 
 
 def _no_args(args) -> tuple:
+    given = [flag for flag, value in (("--target", args.target), ("--pivot", args.pivot),
+                                      ("--direction", args.direction)) if value is not None]
+    if given:
+        raise InjhomError(f"{args.kind} takes no {', '.join(given)}: collapse kinds only")
     return ()
 
 
@@ -92,7 +101,7 @@ def _collapse_args(args) -> tuple:
     if args.target is None or args.pivot is None:
         raise InjhomError("collapse kinds need --target and --pivot")
     target = _load_target(args.target)
-    return target, parse_colour(args.pivot, target.graph.n), args.direction
+    return target, parse_colour(args.pivot, target.graph.n), args.direction or "out"
 
 
 def _gadget_counts(vertex: str, edge: str):
@@ -241,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--output", required=True)
     r.add_argument("--target", help="collapse kinds: the large target")
     r.add_argument("--pivot", help="collapse kinds: pivot vertex (letter or id)")
-    r.add_argument("--direction", choices=["out", "in"], default="out")
+    r.add_argument("--direction", choices=["out", "in"],
+                   help="collapse kinds: the pivot's neighbourhood (default out)")
     r.set_defaults(fn=cmd_reduce)
 
     v = sub.add_parser("verify-gadget", help="check gadget contracts")

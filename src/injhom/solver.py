@@ -15,6 +15,17 @@ Search policy (pinned for reproducibility):
   matching neighbourhood gets an empty domain (the pigeonhole screen).  The
   colour masks behind both filters and the tables are computed once per
   target and cached on it (`Target.colour_masks`);
+* the root rule breaks the target's symmetry (Crawford et al., KR 1996).
+  With nothing fixed, decide() narrows its most-constrained vertex (the
+  longest constraint list, ties by vertex id) to the orbit-minimal colours
+  of Aut(target): any colouring post-composed with the automorphism that
+  moves that vertex's colour to its orbit's least member is again a
+  colouring, and the loop and capacity filters are Aut-invariant.
+  enumerate_mod_aut() narrows vertex 0 the same way and keeps a witness
+  only if no automorphism fixing its first colour maps it lexicographically
+  lower, so it lists exactly the lex-least member of every orbit.  For a
+  target with a trivial group (TTn, T4) every colour is orbit-minimal and
+  the search is unchanged;
 * decide() branches on the smallest current domain (ties by vertex id),
   values in ascending colour order.  The candidates live in one bitset per
   domain size, `bucket[k]`, updated wherever a domain is narrowed or
@@ -30,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterator, Mapping, Sequence
 
-from .catalog import Target
+from .catalog import CANONICAL_MAX, Target
 from .digraph import Mode, OrientedGraph
 from .errors import InvalidFixedAssignment, PartialColouring
 
@@ -85,7 +96,8 @@ class _Engine:
         full = (1 << tn) - 1
 
         self.pairs = difference_pairs(g, mode)
-        self._validate_fixed()
+        if fixed:
+            self._validate_fixed()
 
         # unary filters: loops, degree capacity, fixed assignments
         caps = masks.capacity[mode]
@@ -249,6 +261,9 @@ def decide(
 ) -> SolveResult:
     """Sat with one witness iff a valid total colouring extending `fixed` exists."""
     eng = _Engine(g, t, mode, fixed)
+    if not eng.fixed and g.n and t.n <= CANONICAL_MAX:
+        root = max(range(g.n), key=lambda v: len(eng.cons[v]))
+        eng.dom0[root] &= t.root_symmetry().roots
     witnesses = []
     for w in eng.run(static_order=False, node_budget=node_budget):
         witnesses.append(w)
@@ -277,10 +292,47 @@ def enumerate_colourings(
     node_budget: int | None = None,
 ) -> SolveResult:
     """All valid total colourings extending `fixed`, in lexicographic order."""
-    eng = _Engine(g, t, mode, fixed)
+    return _collect(_Engine(g, t, mode, fixed), limit, node_budget, None)
+
+
+def enumerate_mod_aut(
+    g: OrientedGraph,
+    t: Target,
+    mode: Mode,
+    limit: int | None = None,
+    node_budget: int | None = None,
+) -> SolveResult:
+    """One representative per orbit of the witness set under Aut(target).
+
+    Orbits are taken under post-composition; the representative is the
+    lexicographically least member, and representatives are listed in order.
+    The rule needs a witness set closed under Aut, so nothing can be fixed.
+    """
+    eng = _Engine(g, t, mode)
+    roots, stabilisers = t.root_symmetry()
+
+    def lex_leader(w: Witness) -> bool:
+        return not any(tuple(map(pi.__getitem__, w)) < w for pi in stabilisers[w[0]])
+
+    keep = None
+    if g.n:
+        eng.dom0[0] &= roots
+        # C3 and T5 act regularly: with trivial stabilisers, every witness
+        # left after the narrowing is its orbit's least member
+        if any(stabilisers):
+            keep = lex_leader
+    res = _collect(eng, limit, node_budget, keep)
+    res.orbits = len(res.witnesses)
+    return res
+
+
+def _collect(eng: _Engine, limit, node_budget, keep) -> SolveResult:
+    """Run the static-order search, keeping the witnesses `keep` accepts."""
     witnesses: list[Witness] = []
     truncated = False
     for w in eng.run(static_order=True, node_budget=node_budget):
+        if keep is not None and not keep(w):
+            continue
         witnesses.append(w)
         if limit is not None and len(witnesses) >= limit:
             truncated = True
@@ -298,29 +350,6 @@ def enumerate_colourings(
         propagations=eng.propagations,
         complete=not (eng.exhausted or truncated),
     )
-
-
-def enumerate_mod_aut(
-    g: OrientedGraph,
-    t: Target,
-    mode: Mode,
-    fixed: Mapping[int, int] | None = None,
-    limit: int | None = None,
-    node_budget: int | None = None,
-) -> SolveResult:
-    """One representative per orbit of the witness set under Aut(target).
-
-    Orbits are taken under post-composition; the representative is the
-    lexicographically least member, and representatives are listed in order.
-    """
-    res = enumerate_colourings(g, t, mode, fixed=fixed, node_budget=node_budget)
-    auts = t.automorphisms()
-    reps = sorted({min(tuple(pi[c] for c in w) for pi in auts) for w in res.witnesses})
-    if limit is not None:
-        reps = reps[:limit]
-    res.witnesses = list(reps)
-    res.orbits = len(reps)
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def test_solve_mod_aut_needs_enumerate(cycle_file, capsys):
     assert rc == 0 and "orbits" in capsys.readouterr().out
 
 
+def test_solve_mod_aut_rejects_fixed(tmp_path, capsys):
+    # representatives are lex-least over the whole orbit, so a fixing would be
+    # broken: C3 maps 0=b to the representative 0=a
+    one = tmp_path / "one.graph"
+    one.write_text("n 1\n")
+    rc = main(["solve", "--input", str(one), "--target", "C3", "--mode", "ios",
+               "--fixed", "0=b", "--enumerate", "all", "--mod-aut"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--mod-aut cannot be combined with --fixed" in captured.err
+    rc = main(["solve", "--input", str(one), "--target", "C3", "--mode", "ios",
+               "--fixed", "0=b", "--enumerate", "all"])
+    assert rc == 0 and capsys.readouterr().out.splitlines()[1:] == ["0=b"]
+
+
 def test_solve_enumerate_hx_shows_forced_d(capsys):
     hx = asset_dir() / "Hx.graph"
     rc = main([
@@ -234,3 +249,27 @@ def test_selfcheck_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "run_all", lambda quick, seed: bad)
     assert main(["selfcheck"]) == 1
     assert "FAILED criteria 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--target", "TT5"],
+    ["--pivot", "a"],
+    ["--direction", "out"],
+    ["--target", "TT5", "--pivot", "a", "--direction", "in"],
+])
+def test_reduce_rejects_collapse_flags_on_other_kinds(cycle_file, tmp_path, capsys, flags):
+    out = tmp_path / "o.graph"
+    rc = main(["reduce", "--kind", "ios-t5", "--input", str(cycle_file),
+               "--output", str(out), *flags])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ios-t5 takes no ") and "collapse kinds only" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+def test_reduce_collapse_direction_defaults_to_out(cycle_file, tmp_path, capsys):
+    for direction in ([], ["--direction", "out"]):
+        rc = main(["reduce", "--kind", "collapse-ios", "--input", str(cycle_file),
+                   "--output", str(tmp_path / "c.graph"), "--target", "TT5",
+                   "--pivot", "a", *direction])
+        assert rc == 0 and "pivot a (out)" in capsys.readouterr().out

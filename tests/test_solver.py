@@ -287,12 +287,74 @@ def test_mod_aut_orbit_sizes_sum():
         assert orbit_union == full
 
 
+# a reflexive 3-vertex target with no strict arcs (Aut = S3), and a reflexive
+# 4-vertex target with arcs 0->1 and 2->3 (Aut = Z2, two orbits): groups that
+# do not act regularly, unlike those of C3 and T5
+LOOPS3 = Target(OrientedGraph(3, [(v, v) for v in range(3)]), "loops3")
+TWO_ARCS = Target(OrientedGraph(4, [(v, v) for v in range(4)] + [(0, 1), (2, 3)]), "two-arcs")
+
+
+def _brute_automorphisms(tg):
+    return [p for p in itertools.permutations(range(tg.n))
+            if all((p[u], p[v]) in tg.arcs for u, v in tg.arcs)]
+
+
+def test_root_symmetry():
+    assert C3.root_symmetry() == (0b1, ((), (), ()))
+    assert T5.root_symmetry() == (0b1, ((),) * 5)
+    assert TT3.root_symmetry() == (0b111, ((),) * 3)
+    assert T4.root_symmetry() == (0b1111, ((),) * 4)
+    assert LOOPS3.root_symmetry() == (0b1, (((0, 2, 1),), (), ()))
+    assert TWO_ARCS.root_symmetry() == (0b11, ((),) * 4)
+
+
+def test_mod_aut_is_the_lex_least_orbit_representatives():
+    # the full witness set, folded by brute force, on every graph of at most 4
+    # vertices; acceptance criterion 4 checks C3, TT3, T4 and T5 on the same graphs
+    targets = (LOOPS3, TWO_ARCS)
+    auts = {t.name: _brute_automorphisms(t.graph) for t in targets}
+    for g in _all_oriented(4):
+        for t in targets:
+            for mode in MODES:
+                full = enumerate_colourings(g, t, mode).witnesses
+                want = sorted({min(tuple(p[c] for c in w) for p in auts[t.name]) for w in full})
+                res = enumerate_mod_aut(g, t, mode)
+                assert (res.witnesses, res.orbits, res.complete) == (want, len(want), True), (
+                    g, t, mode)
+
+
+def test_mod_aut_limit_is_incomplete():
+    g = OrientedGraph(3, [(0, 1), (1, 2)])
+    every = enumerate_mod_aut(g, T5, Mode.IOS)
+    assert every.complete and every.orbits > 2
+    res = enumerate_mod_aut(g, T5, Mode.IOS, limit=2)
+    assert res.witnesses == every.witnesses[:2]
+    assert (res.status, res.orbits, res.complete) == ("sat", 2, False)
+
+
+def test_mod_aut_budget():
+    g = OrientedGraph(3, [(0, 1), (1, 2)])
+    res = enumerate_mod_aut(g, T5, Mode.IOS, node_budget=1)
+    assert (res.status, res.complete) == ("budget_exhausted", False)
+
+
+def test_decide_past_the_automorphism_bound():
+    # no automorphisms past CANONICAL_MAX colours, so no root rule either
+    g = OrientedGraph(3, [(0, 1), (1, 2)])
+    tt9 = named_target("TT9")
+    res = decide(g, tt9, Mode.IOS)
+    assert res.sat and verify_colouring(g, tt9, res.witnesses[0], Mode.IOS)[0]
+
+
 # -- pinned search policy ----------------------------------------------------
 #
 # Node and propagation counts, witnesses and enumeration order are part of the
 # solver's contract: a change to the branching rule or the propagation order
 # must show here.  The values were recorded with the linear-scan selection
-# that the per-domain-size buckets replaced.
+# that the per-domain-size buckets replaced; the decide values were
+# re-recorded when the root rule came in (C3 and T5 decide calls changed,
+# enumeration did not).  The TT3/T4 profile was recorded before the root
+# rule: it must not move for targets with a trivial group.
 
 
 def _all_oriented(max_n):
@@ -310,12 +372,12 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _search_profile(graphs):
+def _search_profile(graphs, targets=(C3, TT3, T4, T5)):
     """Summed decide/enumerate counts and a digest of every answer, in order."""
     totals = {"decide_nodes": 0, "decide_props": 0, "enum_nodes": 0, "enum_props": 0}
     answers = []
     for g in graphs:
-        for t in (C3, TT3, T4, T5):
+        for t in targets:
             for mode in MODES:
                 d = decide(g, t, mode)
                 e = enumerate_colourings(g, t, mode)
@@ -329,20 +391,24 @@ def _search_profile(graphs):
 
 
 GOLDEN_SMALL = {
-    "decide_nodes": 8641, "decide_props": 6602, "enum_nodes": 69678,
-    "enum_props": 26014, "answers": "222a6a1ba16fd057",
+    "decide_nodes": 8257, "decide_props": 6026, "enum_nodes": 69678,
+    "enum_props": 26014, "answers": "265a8f8a061ea32b",
 }
 GOLDEN_SIX = {
-    0: {"decide_nodes": 74, "decide_props": 191, "enum_nodes": 242,
-        "enum_props": 381, "answers": "6330680b38daa733"},
-    1: {"decide_nodes": 102, "decide_props": 263, "enum_nodes": 229,
+    0: {"decide_nodes": 42, "decide_props": 95, "enum_nodes": 242,
+        "enum_props": 381, "answers": "ff05b9b1ecc0e1a5"},
+    1: {"decide_nodes": 26, "decide_props": 68, "enum_nodes": 229,
         "enum_props": 403, "answers": "2d359d695252947d"},
-    3: {"decide_nodes": 63, "decide_props": 131, "enum_nodes": 920,
+    3: {"decide_nodes": 43, "decide_props": 79, "enum_nodes": 920,
         "enum_props": 312, "answers": "be7691890b658095"},
-    5: {"decide_nodes": 323, "decide_props": 613, "enum_nodes": 709,
-        "enum_props": 1099, "answers": "3ef79dbcce5c1f75"},
-    6: {"decide_nodes": 135, "decide_props": 377, "enum_nodes": 630,
-        "enum_props": 942, "answers": "9ff8e1835df7b9c9"},
+    5: {"decide_nodes": 25, "decide_props": 35, "enum_nodes": 709,
+        "enum_props": 1099, "answers": "f1149e1e9e718839"},
+    6: {"decide_nodes": 78, "decide_props": 209, "enum_nodes": 630,
+        "enum_props": 942, "answers": "1e8fa3fd850b814a"},
+}
+GOLDEN_TRIVIAL_GROUP = {
+    "decide_nodes": 4523, "decide_props": 3342, "enum_nodes": 27122,
+    "enum_props": 10454, "answers": "08a5ccbf1473d3ce",
 }
 # kind -> (instance vertices, digest of the lifted colouring)
 GOLDEN_LIFT = {
@@ -357,6 +423,10 @@ GOLDEN_LIFT = {
 
 def test_pinned_search_all_small_graphs():
     assert _search_profile(_all_oriented(3)) == GOLDEN_SMALL
+
+
+def test_pinned_search_trivial_group_targets():
+    assert _search_profile(_all_oriented(3), (TT3, T4)) == GOLDEN_TRIVIAL_GROUP
 
 
 def test_pinned_search_seeded_six_vertex_graphs():
