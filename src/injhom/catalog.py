@@ -59,6 +59,11 @@ class ColourMasks(NamedTuple):
 
     out: tuple[int, ...]  # out[c]: the colours d with an arc c -> d
     into: tuple[int, ...]  # into[c]: the colours d with an arc d -> c
+    # rows[kind][c]: the colours a partner u of an instance vertex v may take
+    # when v takes c, for the kind bit set 1 = arc v -> u, 2 = arc u -> v,
+    # 4 = u and v must differ; each set bit adds its condition.  Kinds 3 and 7
+    # would need a digon, and kind 0 is no constraint.
+    rows: tuple[tuple[int, ...], ...]
     loops: int  # the colours with a loop
     # capacity[mode][i][k]: the colours whose i-th mode-relevant neighbourhood
     # (in the order of OrientedGraph.mode_sets) has at least k members; a
@@ -77,6 +82,16 @@ def _colour_masks(g: OrientedGraph) -> ColourMasks:
     colours = range(g.n)
     out = tuple(sum(1 << d for d in g.out_set(c)) for c in colours)
     into = tuple(sum(1 << d for d in g.in_set(c)) for c in colours)
+    full = (1 << g.n) - 1
+    rows = tuple(
+        tuple(
+            (out[c] if kind & 1 else full)
+            & (into[c] if kind & 2 else full)
+            & (full ^ (1 << c) if kind & 4 else full)
+            for c in colours
+        )
+        for kind in range(8)
+    )
     loops = sum(1 << c for c in colours if g.has_loop(c))
     capacity = {
         mode: tuple(
@@ -85,7 +100,7 @@ def _colour_masks(g: OrientedGraph) -> ColourMasks:
         )
         for mode in MODES
     }
-    return ColourMasks(out, into, loops, capacity)
+    return ColourMasks(out, into, rows, loops, capacity)
 
 
 class RootSymmetry(NamedTuple):

@@ -2,14 +2,21 @@
 
 Search policy (pinned for reproducibility):
 
-* constraints are materialized as binary tables between vertex pairs: arc
-  preservation plus one difference constraint for every pair of vertices
-  sharing a mode-relevant neighbourhood (deduplicated globally);
+* constraints are compiled in one pass over the vertices.  Each vertex v
+  gets its partners u, sorted by id, each with a kind: bit 1 for an arc
+  v -> u, bit 2 for an arc u -> v, bit 4 when u and v share a
+  mode-relevant neighbourhood and must differ.  The difference partners
+  are read off the adjacency sets (in: the in-neighbours of v's
+  out-neighbours; ios: also the out-neighbours of v's in-neighbours; iot:
+  the neighbours of v's neighbours), v itself dropped.  A kind selects a
+  binary table row that the target builds once (`ColourMasks.rows`), so
+  the engine only looks rows up;
 * a fixed (pre-coloured) assignment is checked once, in one pass over the
   in-arcs of the fixed vertices and over the difference pairs; the first
   violation is reported by fixed-order position of the arc's head, then of
-  its tail.  Arcs and pairs between two fixed vertices then get no table:
-  they could never narrow a domain;
+  its tail.  The difference pairs are listed for this check only.  Arcs and
+  pairs between two fixed vertices then get no constraint: they could
+  never narrow a domain;
 * unary filtering up front: loop arcs restrict a vertex to loop colours, and
   a vertex whose mode-relevant neighbourhood is larger than any colour's
   matching neighbourhood gets an empty domain (the pigeonhole screen).  The
@@ -43,7 +50,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .catalog import CANONICAL_MAX, Target
 from .digraph import Mode, OrientedGraph
-from .errors import InvalidFixedAssignment, PartialColouring
+from .errors import InjhomError, InvalidFixedAssignment, PartialColouring
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -91,50 +98,68 @@ class _Engine:
         self.g = g
         self.t = t
         self.fixed = fixed = dict(fixed or {})
-        masks = t.colour_masks()
-        tn = self.tn = t.n
-        full = (1 << tn) - 1
-
-        self.pairs = difference_pairs(g, mode)
         if fixed:
-            self._validate_fixed()
-
-        # unary filters: loops, degree capacity, fixed assignments
+            self._validate_fixed(difference_pairs(g, mode))
+        masks = t.colour_masks()
+        rows, loops = masks.rows, masks.loops
+        self.tn = t.n
+        # one capacity tuple per mode set: (in,), (in, out) or (both,)
         caps = masks.capacity[mode]
-        dom = [full] * g.n
-        for v, sets in enumerate(zip(*g.mode_sets(mode))):
-            m = masks.loops if g.has_loop(v) else full
-            for members, cap in zip(sets, caps):
-                k = len(members)
-                m &= cap[k] if k < len(cap) else 0
-            dom[v] = m
-        for v, c in fixed.items():
-            dom[v] &= 1 << c
+        cap, cap_out = caps[0], caps[-1]
+        nin, nout = g.mode_sets(Mode.IOS)
+        # tested once here: reading an Enum member costs a lookup each time
+        in_only, ios = mode is Mode.IN, mode is Mode.IOS
+        if not (in_only or ios):
+            (nboth,) = g.mode_sets(mode)
+
+        # one pass over the vertices: dom0[v] is v's unary filter (capacity,
+        # loops, a fixed colour) and cons[v] lists (u, row) by partner u; nb
+        # maps each partner to its kind (see the module docstring).  Loops
+        # live in the unary filter, so v is dropped from its own partners, and
+        # two fixed ends were checked above and could never narrow a domain,
+        # so they get no entry.
+        dom: list[int] = []
+        cons: list[list[tuple[int, tuple[int, ...]]]] = []
+        for v in range(g.n):
+            ins, outs = nin[v], nout[v]
+            partners: set[int] = set()
+            if in_only:
+                k = len(ins)
+                m = cap[k] if k < len(cap) else 0
+                for w in outs:
+                    partners |= nin[w]
+            elif ios:
+                k = len(ins)
+                m = cap[k] if k < len(cap) else 0
+                k = len(outs)
+                m &= cap_out[k] if k < len(cap_out) else 0
+                for w in outs:
+                    partners |= nin[w]
+                for w in ins:
+                    partners |= nout[w]
+            else:
+                both = nboth[v]
+                k = len(both)
+                m = cap[k] if k < len(cap) else 0
+                for w in both:
+                    partners |= nboth[w]
+            if v in outs:
+                m &= loops
+            nb = dict.fromkeys(partners, 4)
+            for u in outs:
+                nb[u] = nb.get(u, 0) | 1
+            for u in ins:
+                nb[u] = nb.get(u, 0) | 2
+            nb.pop(v, None)
+            if v in fixed:
+                m &= 1 << fixed[v]
+                nb = {u: k for u, k in nb.items() if u not in fixed}
+            dom.append(m)
+            cons.append([(u, rows[nb[u]]) for u in sorted(nb)])
         self.dom0 = dom
-
-        # binary tables: row[c] = allowed colours on the partner when this side
-        # is c.  Constraints between two fixed vertices were checked above and
-        # could never narrow a domain, so they get no table.  Loops were folded
-        # into the unary filter, and with no digons each other arc owns its keys.
-        tables: dict[tuple[int, int], tuple[int, ...]] = {}
-        for u, v in g.arcs:
-            if u != v and not (u in fixed and v in fixed):
-                tables[u, v] = masks.out  # u=c constrains head v
-                tables[v, u] = masks.into  # v=c constrains tail u
-        differ = tuple(full ^ (1 << c) for c in range(tn))
-        for x, y in self.pairs:
-            if x in fixed and y in fixed:
-                continue
-            for key in ((x, y), (y, x)):
-                row = tables.get(key)
-                tables[key] = differ if row is None else tuple(map(int.__and__, row, differ))
-
-        cons: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.n)]
-        for (v, u), row in sorted(tables.items()):
-            cons[v].append((u, row))
         self.cons = cons
 
-    def _validate_fixed(self) -> None:
+    def _validate_fixed(self, pairs: set[tuple[int, int]]) -> None:
         g, tg, fixed = self.g, self.t.graph, self.fixed
         for v, c in fixed.items():
             if not 0 <= v < g.n:
@@ -151,7 +176,7 @@ class _Engine:
                 raise InvalidFixedAssignment(
                     f"fixed arc ({u}, {v}) maps to non-arc ({fixed[u]}, {c})"
                 )
-        for x, y in self.pairs:
+        for x, y in pairs:
             if x in fixed and y in fixed and fixed[x] == fixed[y]:
                 raise InvalidFixedAssignment(
                     f"vertices {x} and {y} share a neighbourhood but are both fixed "
@@ -260,6 +285,7 @@ def decide(
     node_budget: int | None = None,
 ) -> SolveResult:
     """Sat with one witness iff a valid total colouring extending `fixed` exists."""
+    _check_bounds(None, node_budget)
     eng = _Engine(g, t, mode, fixed)
     if not eng.fixed and g.n and t.n <= CANONICAL_MAX:
         root = max(range(g.n), key=lambda v: len(eng.cons[v]))
@@ -292,6 +318,7 @@ def enumerate_colourings(
     node_budget: int | None = None,
 ) -> SolveResult:
     """All valid total colourings extending `fixed`, in lexicographic order."""
+    _check_bounds(limit, node_budget)
     return _collect(_Engine(g, t, mode, fixed), limit, node_budget, None)
 
 
@@ -308,6 +335,7 @@ def enumerate_mod_aut(
     lexicographically least member, and representatives are listed in order.
     The rule needs a witness set closed under Aut, so nothing can be fixed.
     """
+    _check_bounds(limit, node_budget)
     eng = _Engine(g, t, mode)
     roots, stabilisers = t.root_symmetry()
 
@@ -324,6 +352,15 @@ def enumerate_mod_aut(
     res = _collect(eng, limit, node_budget, keep)
     res.orbits = len(res.witnesses)
     return res
+
+
+def _check_bounds(limit: int | None, node_budget: int | None) -> None:
+    """Reject a limit below one witness and a negative node budget; a budget
+    of 0 is valid and stops before the first node."""
+    if limit is not None and limit < 1:
+        raise InjhomError(f"enumeration limit {limit} is below 1")
+    if node_budget is not None and node_budget < 0:
+        raise InjhomError(f"node budget {node_budget} is negative")
 
 
 def _collect(eng: _Engine, limit, node_budget, keep) -> SolveResult:

@@ -68,6 +68,28 @@ def test_named_target_is_shared_per_name():
             named_target(bad)
 
 
+def test_kind_rows_combine_out_into_differ():
+    # ColourMasks.rows[kind]: bit 1 = arc to the partner, 2 = arc from it, 4 = differ
+    for name in ("C3", "TT1", "TT2", "TT3", "TT5", "TT7", "T4", "T5"):
+        t = named_target(name)
+        g, masks = t.graph, t.colour_masks()
+        colours = range(g.n)
+        full = (1 << g.n) - 1
+        out = tuple(sum(1 << d for d in colours if g.has_arc(c, d)) for c in colours)
+        into = tuple(sum(1 << d for d in colours if g.has_arc(d, c)) for c in colours)
+        differ = tuple(full ^ (1 << c) for c in colours)
+        assert (masks.out, masks.into) == (out, into), name
+        rows = dict(enumerate(masks.rows))
+        assert rows.pop(1) == out and rows.pop(2) == into and rows.pop(4) == differ, name
+        assert rows.pop(5) == tuple(map(int.__and__, out, differ)), name
+        assert rows.pop(6) == tuple(map(int.__and__, into, differ)), name
+        # no constraint, and the two kinds only a digon could give
+        assert rows.pop(0) == (full,) * g.n, name
+        assert rows.pop(3) == tuple(map(int.__and__, out, into)), name
+        assert rows.pop(7) == tuple(o & i & d for o, i, d in zip(out, into, differ)), name
+        assert not rows, name
+
+
 def test_enumeration_counts():
     assert [len(enumerate_reflexive_tournaments(n)) for n in range(1, 6)] == [
         1, 1, 2, 4, 12,

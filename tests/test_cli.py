@@ -81,6 +81,19 @@ def test_solve_mod_aut_rejects_fixed(tmp_path, capsys):
     assert rc == 0 and capsys.readouterr().out.splitlines()[1:] == ["0=b"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--enumerate", "0"], ["--enumerate", "-2"], ["--budget", "-1"],
+    ["--enumerate", "all", "--budget", "-1"],
+])
+def test_solve_rejects_bad_limit_and_budget(tmp_path, capsys, flags):
+    one = tmp_path / "one.graph"
+    one.write_text("n 1\n")
+    rc = main(["solve", "--input", str(one), "--target", "C3", "--mode", "ios", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "limit" in captured.err or "budget" in captured.err
+
+
 def test_solve_enumerate_hx_shows_forced_d(capsys):
     hx = asset_dir() / "Hx.graph"
     rc = main([

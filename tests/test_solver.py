@@ -6,7 +6,7 @@ import pytest
 
 from injhom.catalog import Target, named_target
 from injhom.digraph import MODES, Mode, OrientedGraph
-from injhom.errors import InvalidFixedAssignment, PartialColouring
+from injhom.errors import InjhomError, InvalidFixedAssignment, PartialColouring
 from injhom.gadgets import load_gadget
 from injhom.naive import naive_witnesses
 from injhom.reductions import (
@@ -22,6 +22,7 @@ from injhom.reductions import (
     three_edge_colouring_oracle,
 )
 from injhom.solver import (
+    _Engine,
     decide,
     enumerate_colourings,
     enumerate_mod_aut,
@@ -214,6 +215,24 @@ def test_enumerate_limit_is_lex_prefix():
     g = OrientedGraph(1)
     res = enumerate_colourings(g, T5, Mode.IOS, limit=2)
     assert res.witnesses == [(0,), (1,)] and not res.complete
+
+
+def test_bad_limit_and_budget_rejected():
+    one = OrientedGraph(1)
+    for limit in (0, -3):
+        with pytest.raises(InjhomError, match="limit"):
+            enumerate_colourings(one, C3, Mode.IOS, limit=limit)
+        with pytest.raises(InjhomError, match="limit"):
+            enumerate_mod_aut(one, C3, Mode.IOS, limit=limit)
+    for budget in (-1, -5):
+        with pytest.raises(InjhomError, match="budget"):
+            decide(one, C3, Mode.IOS, node_budget=budget)
+        with pytest.raises(InjhomError, match="budget"):
+            enumerate_colourings(one, C3, Mode.IOS, node_budget=budget)
+        with pytest.raises(InjhomError, match="budget"):
+            enumerate_mod_aut(one, C3, Mode.IOS, node_budget=budget)
+    assert enumerate_colourings(one, C3, Mode.IOS, limit=1).witnesses == [(0,)]
+    assert enumerate_colourings(one, C3, Mode.IOS, node_budget=0).status == "budget_exhausted"
 
 
 def test_mode_monotonicity_random():
@@ -432,6 +451,87 @@ def test_pinned_search_trivial_group_targets():
 def test_pinned_search_seeded_six_vertex_graphs():
     for seed, want in GOLDEN_SIX.items():
         assert _search_profile([_random_graph(random.Random(seed), 6)]) == want, seed
+
+
+# -- the constraint compile -------------------------------------------------
+# The engine's dom0 and cons, against the global table build it replaced:
+# every difference pair, then one (v, u)-keyed table per arc and pair, sorted.
+# Equal tables give equal searches, so this pins answers and counts too.
+
+LOOPY = Target(OrientedGraph(4, [(0, 0), (0, 1), (1, 2), (2, 0), (2, 3), (3, 3)]), "loopy")
+
+
+def _oracle_pairs(g, mode):
+    pairs = set()
+    for members in itertools.chain.from_iterable(zip(*g.mode_sets(mode))):
+        pairs.update(itertools.combinations(sorted(members), 2))
+    return pairs
+
+
+def _oracle_compile(g, t, mode, fixed, pairs):
+    masks = t.colour_masks()
+    full = (1 << t.n) - 1
+    dom = []
+    for v, sets in enumerate(zip(*g.mode_sets(mode))):
+        m = masks.loops if g.has_loop(v) else full
+        for members, cap in zip(sets, masks.capacity[mode]):
+            m &= cap[len(members)] if len(members) < len(cap) else 0
+        dom.append(m)
+    for v, c in fixed.items():
+        dom[v] &= 1 << c
+    tables = {}
+    for u, v in g.arcs:
+        if u != v and not (u in fixed and v in fixed):
+            tables[u, v] = masks.out
+            tables[v, u] = masks.into
+    differ = tuple(full ^ (1 << c) for c in range(t.n))
+    for x, y in pairs:
+        if not (x in fixed and y in fixed):
+            for key in ((x, y), (y, x)):
+                row = tables.get(key)
+                tables[key] = differ if row is None else tuple(map(int.__and__, row, differ))
+    cons = [[] for _ in range(g.n)]
+    for (v, u), row in sorted(tables.items()):
+        cons[v].append((u, row))
+    return dom, cons
+
+
+def _valid_fixing(rng, g, t, pairs):
+    """A random fixing of one or two vertices that the engine accepts, or {}."""
+    for _ in range(10):
+        fixed = {v: rng.randrange(t.n) for v in rng.sample(range(g.n), min(g.n, 2))}
+        if all(t.graph.has_arc(fixed[u], fixed[v]) for u, v in g.arcs
+               if u in fixed and v in fixed) and not any(
+                x in fixed and y in fixed and fixed[x] == fixed[y] for x, y in pairs):
+            return fixed
+    return {}
+
+
+def _check_compile(rng, graphs, targets):
+    """Compare the engine with the oracle, unfixed and with a random valid
+    fixing; returns how many cases got a non-empty fixing."""
+    fixings = 0
+    for g in graphs:
+        for mode in MODES:
+            pairs = _oracle_pairs(g, mode)
+            for t in targets:
+                fixed = _valid_fixing(rng, g, t, pairs)
+                fixings += bool(fixed)
+                for f in ({}, fixed):
+                    eng = _Engine(g, t, mode, f)
+                    assert (eng.dom0, eng.cons) == _oracle_compile(g, t, mode, f, pairs), (
+                        g, t, mode, f)
+    return fixings
+
+
+def test_compile_matches_global_tables_on_all_small_graphs():
+    fixings = _check_compile(random.Random(9), _all_oriented(4), (C3, TT3, T4, T5, LOOPY))
+    assert fixings > 150_000  # most cases get a non-empty fixing
+
+
+def test_compile_matches_global_tables_on_larger_graphs():
+    graphs = [_random_graph(random.Random(seed), 30, loop_p=0.1) for seed in range(4)]
+    assert _check_compile(random.Random(30), graphs, (C3, T5, LOOPY)) > 24
 
 
 def _planted(rng, n, target, mode):
