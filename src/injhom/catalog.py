@@ -55,26 +55,28 @@ def parse_colour(text: str, n: int) -> int:
 
 
 class ColourMasks(NamedTuple):
-    """A target's colour sets as bitmasks (bit c stands for colour c)."""
+    """A target's colour sets as bitmasks (bit c stands for colour c): the
+    one table of the constraint rules that the solver and its pigeonhole
+    screen read."""
 
-    out: tuple[int, ...]  # out[c]: the colours d with an arc c -> d
-    into: tuple[int, ...]  # into[c]: the colours d with an arc d -> c
     # rows[kind][c]: the colours a partner u of an instance vertex v may take
     # when v takes c, for the kind bit set 1 = arc v -> u, 2 = arc u -> v,
-    # 4 = u and v must differ; each set bit adds its condition.  Kinds 3 and 7
-    # would need a digon, and kind 0 is no constraint.
+    # 4 = u and v must differ; each set bit adds its condition, so rows[1]
+    # holds the out-sets and rows[2] the in-sets.  Kinds 3 and 7 would need a
+    # digon, and kind 0 is no constraint.
     rows: tuple[tuple[int, ...], ...]
     loops: int  # the colours with a loop
     # capacity[mode][i][k]: the colours whose i-th mode-relevant neighbourhood
-    # (in the order of OrientedGraph.mode_sets) has at least k members; a
-    # neighbourhood size past the end of the tuple fits no colour
+    # (in the order of OrientedGraph.mode_sets) has at least k members.  A
+    # neighbourhood of size k fits some colour iff k < len(capacity[mode][i]);
+    # a 0-vertex target gets (0,), which fits nothing
     capacity: dict[Mode, tuple[tuple[int, ...], ...]]
 
 
 def _capacity(sizes: list[int]) -> tuple[int, ...]:
     return tuple(
         sum(1 << c for c, size in enumerate(sizes) if size >= k)
-        for k in range(max(sizes, default=-1) + 1)
+        for k in range(max(sizes, default=0) + 1)
     )
 
 
@@ -100,7 +102,7 @@ def _colour_masks(g: OrientedGraph) -> ColourMasks:
         )
         for mode in MODES
     }
-    return ColourMasks(out, into, rows, loops, capacity)
+    return ColourMasks(rows, loops, capacity)
 
 
 class RootSymmetry(NamedTuple):

@@ -36,7 +36,7 @@ from .reductions import (
     parse_undirected,
     three_edge_colouring_oracle,
 )
-from .solver import decide, enumerate_colourings, enumerate_mod_aut
+from .solver import _check_bounds, decide, enumerate_colourings, enumerate_mod_aut
 
 _NAMED = re.compile(r"C3|T4|T5|TT\d+")
 
@@ -56,6 +56,8 @@ def cmd_solve(args) -> int:
         raise InjhomError("--mod-aut needs --enumerate")
     if args.mod_aut and args.fixed:
         raise InjhomError("--mod-aut cannot be combined with --fixed")
+    # before the path is picked: the 2-SAT decider takes no budget
+    _check_bounds(None, args.budget)
     g = parse_graph(Path(args.input).read_text())
     target = _load_target(args.target)
     mode = Mode.parse(args.mode)

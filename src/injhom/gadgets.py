@@ -138,33 +138,6 @@ def parse_contract(text: str) -> Contract:
     return Contract(target=target_name, mode=mode, anchor=anchor, facts=tuple(facts))
 
 
-def serialize_contract(contract: Contract) -> str:
-    tn = named_target(contract.target).graph.n
-
-    def letter(c: int) -> str:
-        return colour_letter(c) if tn <= 26 else str(c)
-
-    lines = [f"target {contract.target}", f"mode {contract.mode.value}"]
-    if contract.anchor is not None:
-        lines.append(f"anchor {contract.anchor[0]} {letter(contract.anchor[1])}")
-    for fact in contract.facts:
-        kind = fact[0]
-        if kind == "nonempty":
-            lines.append("nonempty")
-        elif kind == "forced":
-            lines.append(f"forced {fact[1]} {letter(fact[2])}")
-        elif kind == "equal":
-            lines.append(f"equal {fact[1]} {fact[2]}")
-        elif kind == "range":
-            lines.append(f"range {fact[1]} {','.join(letter(c) for c in sorted(fact[2]))}")
-        elif kind == "extends":
-            items = ",".join(f"{v}={letter(c)}" for v, c in sorted(fact[1].items()))
-            lines.append(f"extends {items}")
-        else:
-            raise ContractMalformed(f"unknown fact kind {kind!r}")
-    return "\n".join(lines)
-
-
 def _fact_vertices(fact: Fact) -> tuple[int, ...]:
     """The gadget vertices a contract fact names."""
     if fact[0] in ("forced", "range"):

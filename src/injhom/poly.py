@@ -17,12 +17,12 @@ though never the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 from .catalog import Target
 from .digraph import Mode, OrientedGraph
 from .errors import TargetTooLarge
-from .solver import SAT, UNSAT, SolveResult, difference_pairs, pigeonhole_unsat
+from .solver import SAT, UNSAT, SolveResult, pigeonhole_unsat
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,14 @@ def decide_small_target(
     (p, q) = next((u, v) for u, v in t.graph.arcs if u != v)  # the strict arc p->q
     # literal v + 1 asserts "vertex v takes q", -(v + 1) "vertex v takes p".
     # Arc preservation forbids (q, p), the single non-arc of the target (both
-    # colours carry loops); members of a shared neighbourhood differ.  No two
-    # of these clauses coincide.
+    # colours carry loops); members of a shared neighbourhood differ, one
+    # clause pair per vertex pair.  No two of these clauses coincide.
+    pairs: set[tuple[int, int]] = set()
+    for members in chain.from_iterable(g.mode_sets(mode)):
+        if len(members) > 1:
+            pairs.update(combinations(sorted(members), 2))
     clauses = [(-u - 1, v + 1) for u, v in g.arcs if u != v]
-    for x, y in difference_pairs(g, mode):
+    for x, y in pairs:
         clauses.append((x + 1, y + 1))
         clauses.append((-x - 1, -y - 1))
     clauses.sort()

@@ -11,12 +11,12 @@ Search policy (pinned for reproducibility):
   the neighbours of v's neighbours), v itself dropped.  A kind selects a
   binary table row that the target builds once (`ColourMasks.rows`), so
   the engine only looks rows up;
-* a fixed (pre-coloured) assignment is checked once, in one pass over the
-  in-arcs of the fixed vertices and over the difference pairs; the first
-  violation is reported by fixed-order position of the arc's head, then of
-  its tail.  The difference pairs are listed for this check only.  Arcs and
-  pairs between two fixed vertices then get no constraint: they could
-  never narrow a domain;
+* a fixed (pre-coloured) assignment is checked once.  The in-arcs of the
+  fixed vertices come first, the first bad arc reported by fixed-order
+  position of its head, then of its tail.  The compile pass then checks
+  each fixed vertex's fixed must-differ partners and reports the least
+  pair (x, y), x < y, fixed to one colour.  Arcs and pairs between two
+  fixed vertices then get no constraint: they could never narrow a domain;
 * unary filtering up front: loop arcs restrict a vertex to loop colours, and
   a vertex whose mode-relevant neighbourhood is larger than any colour's
   matching neighbourhood gets an empty domain (the pigeonhole screen).  The
@@ -45,7 +45,6 @@ Everything is single-threaded and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import CANONICAL_MAX, Target
@@ -73,21 +72,12 @@ class SolveResult:
         return self.status == SAT
 
 
-def difference_pairs(g: OrientedGraph, mode: Mode) -> set[tuple[int, int]]:
-    """All vertex pairs forced to differ: pairs inside a mode-relevant neighbourhood."""
-    pairs: set[tuple[int, int]] = set()
-    # vertex by vertex, each vertex's sets in mode_sets order
-    for members in chain.from_iterable(zip(*g.mode_sets(mode))):
-        if len(members) > 1:
-            pairs.update(combinations(sorted(members), 2))
-    return pairs
-
-
 def pigeonhole_unsat(g: OrientedGraph, t: Target, mode: Mode) -> bool:
     """True when some mode-relevant neighbourhood cannot fit into the target."""
+    # a set of size k fits some colour iff k < len(cap)
     return any(
-        max(map(len, sets), default=0) > max(map(len, caps), default=0)
-        for sets, caps in zip(g.mode_sets(mode), t.graph.mode_sets(mode))
+        max(map(len, sets), default=0) >= len(cap)
+        for sets, cap in zip(g.mode_sets(mode), t.colour_masks().capacity[mode])
     )
 
 
@@ -99,7 +89,7 @@ class _Engine:
         self.t = t
         self.fixed = fixed = dict(fixed or {})
         if fixed:
-            self._validate_fixed(difference_pairs(g, mode))
+            self._validate_fixed()
         masks = t.colour_masks()
         rows, loops = masks.rows, masks.loops
         self.tn = t.n
@@ -115,9 +105,9 @@ class _Engine:
         # one pass over the vertices: dom0[v] is v's unary filter (capacity,
         # loops, a fixed colour) and cons[v] lists (u, row) by partner u; nb
         # maps each partner to its kind (see the module docstring).  Loops
-        # live in the unary filter, so v is dropped from its own partners, and
-        # two fixed ends were checked above and could never narrow a domain,
-        # so they get no entry.
+        # live in the unary filter, so v is dropped from its own partners.  A
+        # fixed v is checked against its fixed must-differ partners here; two
+        # fixed ends could never narrow a domain, so they get no entry.
         dom: list[int] = []
         cons: list[list[tuple[int, tuple[int, ...]]]] = []
         for v in range(g.n):
@@ -152,14 +142,23 @@ class _Engine:
                 nb[u] = nb.get(u, 0) | 2
             nb.pop(v, None)
             if v in fixed:
-                m &= 1 << fixed[v]
+                c = fixed[v]
+                # the first v with a clash has no clashing partner below it,
+                # so (v, least partner) is the least clashing pair
+                clash = [u for u, k in nb.items() if k & 4 and fixed.get(u) == c]
+                if clash:
+                    raise InvalidFixedAssignment(
+                        f"vertices {v} and {min(clash)} share a neighbourhood but are "
+                        f"both fixed to colour {c}"
+                    )
+                m &= 1 << c
                 nb = {u: k for u, k in nb.items() if u not in fixed}
             dom.append(m)
             cons.append([(u, rows[nb[u]]) for u in sorted(nb)])
         self.dom0 = dom
         self.cons = cons
 
-    def _validate_fixed(self, pairs: set[tuple[int, int]]) -> None:
+    def _validate_fixed(self) -> None:
         g, tg, fixed = self.g, self.t.graph, self.fixed
         for v, c in fixed.items():
             if not 0 <= v < g.n:
@@ -175,12 +174,6 @@ class _Engine:
                 u = min(bad, key=position.__getitem__)
                 raise InvalidFixedAssignment(
                     f"fixed arc ({u}, {v}) maps to non-arc ({fixed[u]}, {c})"
-                )
-        for x, y in pairs:
-            if x in fixed and y in fixed and fixed[x] == fixed[y]:
-                raise InvalidFixedAssignment(
-                    f"vertices {x} and {y} share a neighbourhood but are both fixed "
-                    f"to colour {fixed[x]}"
                 )
 
     # -- the search ---------------------------------------------------------
@@ -411,16 +404,15 @@ def verify_colouring(
             return False, (
                 f"arc ({u}, {v}) maps to ({f[u]}, {f[v]}), not an arc of the target"
             )
-    names = {Mode.IN: ("in",), Mode.IOS: ("in", "out"), Mode.IOT: ("both",)}
+    sets = {
+        Mode.IN: (("in", g.in_set),),
+        Mode.IOS: (("in", g.in_set), ("out", g.out_set)),
+        Mode.IOT: (("both", g.both_set),),
+    }[mode]
     for v in range(g.n):
-        for label in names[mode]:
-            members = {
-                "in": g.in_set(v),
-                "out": g.out_set(v),
-                "both": g.both_set(v),
-            }[label]
+        for label, members in sets:
             seen: dict[int, int] = {}
-            for x in sorted(members):
+            for x in sorted(members(v)):
                 if f[x] in seen:
                     return False, (
                         f"vertices {seen[f[x]]} and {x} in the {label}-neighbourhood "

@@ -84,6 +84,8 @@ def test_solve_mod_aut_rejects_fixed(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--enumerate", "0"], ["--enumerate", "-2"], ["--budget", "-1"],
     ["--enumerate", "all", "--budget", "-1"],
+    # a later --target wins: TT2 with nothing fixed takes the 2-SAT path
+    ["--target", "TT2", "--budget", "-1"],
 ])
 def test_solve_rejects_bad_limit_and_budget(tmp_path, capsys, flags):
     one = tmp_path / "one.graph"

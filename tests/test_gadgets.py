@@ -17,7 +17,6 @@ from injhom.gadgets import (
     parse_contract,
     ring,
     ring_links,
-    serialize_contract,
     verify_contract,
     verify_gadget,
 )
@@ -45,10 +44,18 @@ def test_unknown_port():
         load_gadget("Hx").port("zz")
 
 
-def test_contract_round_trip():
-    hx = load_gadget("Hx")
-    text = serialize_contract(hx.contract)
-    assert parse_contract(text) == hx.contract
+def test_parse_contract_assets():
+    hx = parse_contract((asset_dir() / "Hx.contract").read_text())
+    assert hx == Contract(
+        target="T4", mode=Mode.IOS, anchor=None,
+        facts=(("nonempty",), ("forced", 3, 0), ("forced", 13, 0), ("forced", 23, 0),
+               ("forced", 31, 3), ("extends", {1: 1, 11: 2, 21: 3})),
+    )
+    dv = parse_contract((asset_dir() / "Dv.contract").read_text())
+    assert dv == Contract(
+        target="T5", mode=Mode.IOT, anchor=(0, 3),
+        facts=(("nonempty",), ("forced", 4, 0), ("forced", 8, 2)),
+    )
 
 
 def test_contract_malformed():

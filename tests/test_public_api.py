@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import injhom
 
 
@@ -18,3 +21,22 @@ def test_public_surface_pinned():
         "three_edge_colouring_oracle", "twosat_solve", "verify_colouring", "verify_contract",
         "verify_gadget",
     ]
+
+
+def test_no_unused_imports_in_package_modules():
+    # __init__.py re-exports its imports, so it is left out
+    for path in sorted(Path(injhom.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name}: unused imports (line, name) {unused}"

@@ -26,6 +26,7 @@ from injhom.solver import (
     decide,
     enumerate_colourings,
     enumerate_mod_aut,
+    pigeonhole_unsat,
     verify_colouring,
 )
 
@@ -71,6 +72,18 @@ def test_verify_reports_injectivity_violation():
     g = OrientedGraph(3, [(0, 2), (1, 2)])
     ok, why = verify_colouring(g, T4, (0, 0, 1), Mode.IN)
     assert not ok and "in-neighbourhood of 2" in why
+
+
+def test_verify_reports_out_and_both_violations():
+    # arcs 1 -> 0 -> 2, every vertex coloured a; T4 is reflexive, so no arc fails
+    g = OrientedGraph(3, [(1, 0), (0, 2)])
+    ok, why = verify_colouring(g, T4, (0, 0, 0), Mode.IOT)
+    assert not ok and why == "vertices 1 and 2 in the both-neighbourhood of 0 both take colour 0"
+    assert verify_colouring(g, T4, (0, 0, 0), Mode.IOS) == (True, None)
+    fork = OrientedGraph(3, [(0, 1), (0, 2)])
+    ok, why = verify_colouring(fork, T4, (0, 0, 0), Mode.IOS)
+    assert not ok and why == "vertices 1 and 2 in the out-neighbourhood of 0 both take colour 0"
+    assert verify_colouring(fork, T4, (0, 0, 0), Mode.IN) == (True, None)
 
 
 def test_verify_reports_arc_violation():
@@ -140,6 +153,26 @@ def test_decide_fixed_reports_first_violation():
         with pytest.raises(InvalidFixedAssignment) as err:
             decide(g, C3, Mode.IN, fixed=fixed)
         assert str(err.value) == message
+
+
+def test_decide_fixed_reports_least_clashing_pair():
+    # in-sets: 0 <- {3, 5}, 1 <- {2, 4, 6}, 7 <- {1, 8}; no arc joins two fixed vertices
+    g = OrientedGraph(9, [(3, 0), (5, 0), (2, 1), (4, 1), (6, 1), (1, 7), (8, 7)])
+    cases = [
+        # the least pair wins whatever the fixed order
+        (Mode.IN, {5: 0, 3: 0, 6: 2, 4: 2, 2: 2}, (2, 4, 2)),
+        (Mode.IN, {5: 4, 3: 4, 8: 1, 1: 1}, (1, 8, 1)),
+        (Mode.IN, {6: 2, 4: 2, 5: 1, 3: 1}, (3, 5, 1)),
+        (Mode.IN, {6: 0, 2: 0, 4: 1}, (2, 6, 0)),
+        # in iot mode 7 shares 1's neighbourhood with 2, 4 and 6
+        (Mode.IOT, {7: 3, 6: 3}, (6, 7, 3)),
+    ]
+    for mode, fixed, (x, y, c) in cases:
+        with pytest.raises(InvalidFixedAssignment) as err:
+            decide(g, T5, mode, fixed=fixed)
+        assert str(err.value) == (
+            f"vertices {x} and {y} share a neighbourhood but are both fixed to colour {c}")
+    assert decide(g, T5, Mode.IN, fixed={7: 3, 6: 3}).sat
 
 
 def test_decide_fixed_loop_on_loopless_colour():
@@ -471,6 +504,8 @@ def _oracle_pairs(g, mode):
 def _oracle_compile(g, t, mode, fixed, pairs):
     masks = t.colour_masks()
     full = (1 << t.n) - 1
+    out = tuple(sum(1 << d for d in t.graph.out_set(c)) for c in range(t.n))
+    into = tuple(sum(1 << d for d in t.graph.in_set(c)) for c in range(t.n))
     dom = []
     for v, sets in enumerate(zip(*g.mode_sets(mode))):
         m = masks.loops if g.has_loop(v) else full
@@ -482,8 +517,8 @@ def _oracle_compile(g, t, mode, fixed, pairs):
     tables = {}
     for u, v in g.arcs:
         if u != v and not (u in fixed and v in fixed):
-            tables[u, v] = masks.out
-            tables[v, u] = masks.into
+            tables[u, v] = out
+            tables[v, u] = into
     differ = tuple(full ^ (1 << c) for c in range(t.n))
     for x, y in pairs:
         if not (x in fixed and y in fixed):
@@ -532,6 +567,27 @@ def test_compile_matches_global_tables_on_all_small_graphs():
 def test_compile_matches_global_tables_on_larger_graphs():
     graphs = [_random_graph(random.Random(seed), 30, loop_p=0.1) for seed in range(4)]
     assert _check_compile(random.Random(30), graphs, (C3, T5, LOOPY)) > 24
+
+
+def _oracle_pigeonhole(g, t, mode):
+    """The screen as it compared neighbourhood sizes of graph and target."""
+    return any(
+        max(map(len, sets), default=0) > max(map(len, caps), default=0)
+        for sets, caps in zip(g.mode_sets(mode), t.graph.mode_sets(mode))
+    )
+
+
+def test_pigeonhole_matches_size_comparison_on_all_small_graphs():
+    targets = [named_target(name) for name in ("C3", "TT1", "TT2", "TT3", "T4", "T5")]
+    targets += [LOOPY, Target(OrientedGraph(0), "empty")]
+    screened = 0
+    for g in _all_oriented(4):
+        for t in targets:
+            for mode in MODES:
+                want = _oracle_pigeonhole(g, t, mode)
+                assert pigeonhole_unsat(g, t, mode) == want, (g, t.name, mode)
+                screened += want
+    assert 0 < screened < 11_895 * len(targets) * len(MODES)
 
 
 def _planted(rng, n, target, mode):
