@@ -59,11 +59,12 @@ class ColourMasks(NamedTuple):
     one table of the constraint rules that the solver and its pigeonhole
     screen read."""
 
-    # rows[kind][c]: the colours a partner u of an instance vertex v may take
+    # rows[c][kind]: the colours a partner u of an instance vertex v may take
     # when v takes c, for the kind bit set 1 = arc v -> u, 2 = arc u -> v,
-    # 4 = u and v must differ; each set bit adds its condition, so rows[1]
-    # holds the out-sets and rows[2] the in-sets.  Kinds 3 and 7 would need a
-    # digon, and kind 0 is no constraint.
+    # 4 = u and v must differ (OrientedGraph.constraint_table); each set bit
+    # adds its condition, so rows[c][1] is c's out-set and rows[c][2] its
+    # in-set.  Kinds 3 and 7 would need a digon, and kind 0 is no constraint.
+    # Colour-major, so the search reads rows[c] once per node.
     rows: tuple[tuple[int, ...], ...]
     loops: int  # the colours with a loop
     # capacity[mode][i][k]: the colours whose i-th mode-relevant neighbourhood
@@ -90,9 +91,9 @@ def _colour_masks(g: OrientedGraph) -> ColourMasks:
             (out[c] if kind & 1 else full)
             & (into[c] if kind & 2 else full)
             & (full ^ (1 << c) if kind & 4 else full)
-            for c in colours
+            for kind in range(8)
         )
-        for kind in range(8)
+        for c in colours
     )
     loops = sum(1 << c for c in colours if g.has_loop(c))
     capacity = {

@@ -45,7 +45,7 @@ MODES = (Mode.IN, Mode.IOS, Mode.IOT)
 class OrientedGraph:
     """Immutable digon-free directed graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "arcs", "_nin", "_nout")
+    __slots__ = ("n", "arcs", "_nin", "_nout", "_memo")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
@@ -66,6 +66,7 @@ class OrientedGraph:
             nin[v].add(u)
         object.__setattr__(self, "_nin", tuple(frozenset(s) for s in nin))
         object.__setattr__(self, "_nout", tuple(frozenset(s) for s in nout))
+        object.__setattr__(self, "_memo", None)  # derived tables, built on first use
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("OrientedGraph is immutable")
@@ -103,7 +104,7 @@ class OrientedGraph:
 
     def both_set(self, v: int) -> frozenset[int]:
         self._check(v)
-        return self._nin[v] | self._nout[v]
+        return self.mode_sets(Mode.IOT)[0][v]
 
     def mode_sets(self, mode: Mode) -> tuple[tuple[frozenset[int], ...], ...]:
         """The neighbourhood sets whose members must take distinct colours: one
@@ -112,7 +113,49 @@ class OrientedGraph:
             return (self._nin,)
         if mode is Mode.IOS:
             return (self._nin, self._nout)
-        return (tuple(map(frozenset.union, self._nin, self._nout)),)
+        return self._memoised(
+            "both", lambda: (tuple(map(frozenset.union, self._nin, self._nout)),)
+        )
+
+    def constraint_table(self, mode: Mode) -> tuple[tuple, tuple, tuple]:
+        """The graph's half of the solver's constraints in `mode`, built once
+        per graph and mode: (sizes, loops, pairs).  sizes[i][v] is the size of
+        v's i-th mode set (as in mode_sets), loops[v] whether v has a loop, and
+        pairs[v] lists v's partners u by id, each as (u, kind): bit 1 for an
+        arc v -> u, bit 2 for an arc u -> v, bit 4 when u and v share a mode
+        set and must differ.  v is never its own partner."""
+        return self._memoised(mode, lambda: self._compile(mode))
+
+    def _compile(self, mode: Mode) -> tuple[tuple, tuple, tuple]:
+        nin, nout = self._nin, self._nout
+        sets = self.mode_sets(mode)
+        # v is in w's in-set iff w is in v's out-set; the union mirrors itself
+        families = tuple(zip(sets, sets if mode is Mode.IOT else (nout, nin)))
+        pairs = []
+        for v in range(self.n):
+            partners: set[int] = set()
+            for s, mirror in families:
+                for w in mirror[v]:
+                    partners |= s[w]
+            nb = dict.fromkeys(partners, 4)
+            for u in nout[v]:
+                nb[u] = nb.get(u, 0) | 1
+            for u in nin[v]:
+                nb[u] = nb.get(u, 0) | 2
+            nb.pop(v, None)
+            pairs.append(tuple(sorted(nb.items())))
+        sizes = tuple(tuple(map(len, s)) for s in sets)
+        loops = tuple(v in out for v, out in enumerate(nout))
+        return sizes, loops, tuple(pairs)
+
+    def _memoised(self, key, build):
+        """build(), computed once per key: the graph never changes."""
+        memo = self._memo or {}
+        value = memo.get(key)
+        if value is None:
+            memo[key] = value = build()
+            object.__setattr__(self, "_memo", memo)
+        return value
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -40,6 +40,10 @@ class InvalidFixedAssignment(InjhomError):
     pass
 
 
+class InvalidWitness(InjhomError):
+    """The search gave a colouring that verify_colouring rejects: a solver fault."""
+
+
 # poly decider
 class TargetTooLarge(InjhomError):
     pass

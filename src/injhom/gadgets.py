@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
 from .digraph import Mode, OrientedGraph, disjoint_union, identify_vertices, parse_document
-from .errors import AssetMissing, ContractMalformed, UnknownPort
+from .errors import AssetMissing, ContractMalformed, InvalidWitness, UnknownPort
 from .solver import decide, enumerate_colourings, verify_colouring
 
 ASSET_NAMES = ("Hx", "He", "Fx", "Fe", "Jv", "Dv")
@@ -327,8 +327,9 @@ def verify_contract(
     def record_counterexample(w):
         nonlocal counterexample
         if counterexample is None:
-            ok, _ = verify_colouring(graph, target, w, mode)
-            assert ok, "solver produced an invalid witness"
+            ok, why = verify_colouring(graph, target, w, mode)
+            if not ok:
+                raise InvalidWitness(f"solver produced an invalid witness: {why}")
             counterexample = w
 
     for fact in contract.facts:

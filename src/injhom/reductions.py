@@ -37,6 +37,7 @@ from .errors import (
     DegreeTooHigh,
     DegreeTooLow,
     DuplicateArc,
+    InvalidWitness,
     MalformedLine,
     NormalizationFailed,
     PortColourMismatch,
@@ -546,5 +547,6 @@ def lift_colouring(ri: ReductionInstance, base) -> tuple[int, ...]:
         )
     witness = res.witnesses[0]
     ok, why = verify_colouring(ri.graph, ri.target, witness, ri.mode)
-    assert ok, why
+    if not ok:
+        raise InvalidWitness(f"solver produced an invalid witness: {why}")
     return witness

@@ -2,18 +2,19 @@
 
 Search policy (pinned for reproducibility):
 
-* constraints are compiled in one pass over the vertices.  Each vertex v
-  gets its partners u, sorted by id, each with a kind: bit 1 for an arc
-  v -> u, bit 2 for an arc u -> v, bit 4 when u and v share a
-  mode-relevant neighbourhood and must differ.  The difference partners
-  are read off the adjacency sets (in: the in-neighbours of v's
-  out-neighbours; ios: also the out-neighbours of v's in-neighbours; iot:
-  the neighbours of v's neighbours), v itself dropped.  A kind selects a
-  binary table row that the target builds once (`ColourMasks.rows`), so
-  the engine only looks rows up;
+* constraints join two cached halves.  The instance's half
+  (`OrientedGraph.constraint_table`, built once per graph and mode) gives
+  each vertex v its mode-set sizes, its loop flag and its partners u,
+  sorted by id, each with a kind: bit 1 for an arc v -> u, bit 2 for an
+  arc u -> v, bit 4 when u and v share a mode-relevant neighbourhood and
+  must differ (in: the in-neighbours of v's out-neighbours; ios: also the
+  out-neighbours of v's in-neighbours; iot: the neighbours of v's
+  neighbours; v itself dropped).  The target's half (`ColourMasks.rows`,
+  built once per target) gives, per colour c and kind, the colours the
+  partner may take, so the engine only filters domains and looks rows up;
 * a fixed (pre-coloured) assignment is checked once.  The in-arcs of the
   fixed vertices come first, the first bad arc reported by fixed-order
-  position of its head, then of its tail.  The compile pass then checks
+  position of its head, then of its tail.  The join then checks
   each fixed vertex's fixed must-differ partners and reports the least
   pair (x, y), x < y, fixed to one colour.  Arcs and pairs between two
   fixed vertices then get no constraint: they could never narrow a domain;
@@ -91,70 +92,30 @@ class _Engine:
         if fixed:
             self._validate_fixed()
         masks = t.colour_masks()
-        rows, loops = masks.rows, masks.loops
+        self.rows = masks.rows
         self.tn = t.n
-        # one capacity tuple per mode set: (in,), (in, out) or (both,)
-        caps = masks.capacity[mode]
-        cap, cap_out = caps[0], caps[-1]
-        nin, nout = g.mode_sets(Mode.IOS)
-        # tested once here: reading an Enum member costs a lookup each time
-        in_only, ios = mode is Mode.IN, mode is Mode.IOS
-        if not (in_only or ios):
-            (nboth,) = g.mode_sets(mode)
-
-        # one pass over the vertices: dom0[v] is v's unary filter (capacity,
-        # loops, a fixed colour) and cons[v] lists (u, row) by partner u; nb
-        # maps each partner to its kind (see the module docstring).  Loops
-        # live in the unary filter, so v is dropped from its own partners.  A
-        # fixed v is checked against its fixed must-differ partners here; two
-        # fixed ends could never narrow a domain, so they get no entry.
-        dom: list[int] = []
-        cons: list[list[tuple[int, tuple[int, ...]]]] = []
-        for v in range(g.n):
-            ins, outs = nin[v], nout[v]
-            partners: set[int] = set()
-            if in_only:
-                k = len(ins)
-                m = cap[k] if k < len(cap) else 0
-                for w in outs:
-                    partners |= nin[w]
-            elif ios:
-                k = len(ins)
-                m = cap[k] if k < len(cap) else 0
-                k = len(outs)
-                m &= cap_out[k] if k < len(cap_out) else 0
-                for w in outs:
-                    partners |= nin[w]
-                for w in ins:
-                    partners |= nout[w]
-            else:
-                both = nboth[v]
-                k = len(both)
-                m = cap[k] if k < len(cap) else 0
-                for w in both:
-                    partners |= nboth[w]
-            if v in outs:
-                m &= loops
-            nb = dict.fromkeys(partners, 4)
-            for u in outs:
-                nb[u] = nb.get(u, 0) | 1
-            for u in ins:
-                nb[u] = nb.get(u, 0) | 2
-            nb.pop(v, None)
-            if v in fixed:
+        sizes, looped, pairs = g.constraint_table(mode)
+        # dom0[v] is v's unary filter: loops, mode-set capacities, a fixed colour
+        full = (1 << self.tn) - 1
+        dom = [masks.loops if loop else full for loop in looped]
+        for cap, ks in zip(masks.capacity[mode], sizes):
+            dom = [m & cap[k] if k < len(cap) else 0 for m, k in zip(dom, ks)]
+        # cons[v] is the graph's shared (u, kind) list; a fixed v gets a copy
+        # without its fixed partners, after a check that none of its fixed
+        # must-differ partners has its colour (the first clash is the least pair)
+        cons = pairs
+        if fixed:
+            cons = list(pairs)
+            for v in sorted(fixed):
                 c = fixed[v]
-                # the first v with a clash has no clashing partner below it,
-                # so (v, least partner) is the least clashing pair
-                clash = [u for u, k in nb.items() if k & 4 and fixed.get(u) == c]
-                if clash:
-                    raise InvalidFixedAssignment(
-                        f"vertices {v} and {min(clash)} share a neighbourhood but are "
-                        f"both fixed to colour {c}"
-                    )
-                m &= 1 << c
-                nb = {u: k for u, k in nb.items() if u not in fixed}
-            dom.append(m)
-            cons.append([(u, rows[nb[u]]) for u in sorted(nb)])
+                for u, k in pairs[v]:
+                    if k & 4 and fixed.get(u) == c:
+                        raise InvalidFixedAssignment(
+                            f"vertices {v} and {u} share a neighbourhood but are "
+                            f"both fixed to colour {c}"
+                        )
+                dom[v] &= 1 << c
+                cons[v] = [(u, k) for u, k in pairs[v] if u not in fixed]
         self.dom0 = dom
         self.cons = cons
 
@@ -192,7 +153,7 @@ class _Engine:
         dom = self.dom0[:]
         if not all(dom):
             return
-        cons = self.cons
+        cons, rows = self.cons, self.rows
         col = [-1] * n
         unassigned = n
         # smallest-domain order: bucket[k] is the bitset of the vertices with k
@@ -245,11 +206,12 @@ class _Engine:
             col[v] = c
             unassigned -= 1
             dead = False
-            for u, row in cons[v]:
+            rc = rows[c]
+            for u, k in cons[v]:
                 if col[u] >= 0:
                     continue
                 old = dom[u]
-                new = old & row[c]
+                new = old & rc[k]
                 if new != old:
                     trail.append((u, old))
                     dom[u] = new

@@ -69,7 +69,7 @@ def test_named_target_is_shared_per_name():
 
 
 def test_kind_rows_combine_out_into_differ():
-    # ColourMasks.rows[kind]: bit 1 = arc to the partner, 2 = arc from it, 4 = differ
+    # ColourMasks.rows[c][kind]: bit 1 = arc to the partner, 2 = arc from it, 4 = differ
     for name in ("C3", "TT1", "TT2", "TT3", "TT5", "TT7", "T4", "T5"):
         t = named_target(name)
         g, masks = t.graph, t.colour_masks()
@@ -78,7 +78,8 @@ def test_kind_rows_combine_out_into_differ():
         out = tuple(sum(1 << d for d in colours if g.has_arc(c, d)) for c in colours)
         into = tuple(sum(1 << d for d in colours if g.has_arc(d, c)) for c in colours)
         differ = tuple(full ^ (1 << c) for c in colours)
-        rows = dict(enumerate(masks.rows))
+        assert len(masks.rows) == g.n and {len(rc) for rc in masks.rows} == {8}, name
+        rows = {kind: tuple(rc[kind] for rc in masks.rows) for kind in range(8)}
         assert rows.pop(1) == out and rows.pop(2) == into and rows.pop(4) == differ, name
         assert rows.pop(5) == tuple(map(int.__and__, out, differ)), name
         assert rows.pop(6) == tuple(map(int.__and__, into, differ)), name

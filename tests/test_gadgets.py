@@ -5,7 +5,7 @@ import pytest
 
 from injhom.catalog import named_target
 from injhom.digraph import Mode, OrientedGraph
-from injhom.errors import AssetMissing, ContractMalformed, UnknownPort
+from injhom.errors import AssetMissing, ContractMalformed, InjhomError, UnknownPort
 from injhom.gadgets import (
     ALL_LEMMAS,
     ASSET_NAMES,
@@ -170,19 +170,28 @@ def test_hx_witness_set_is_the_six_square_permutations():
     assert report.witness_count == 6
 
 
+BROKEN_HX = Contract(
+    target="T4",
+    mode=Mode.IOS,
+    anchor=None,
+    facts=(("nonempty",), ("forced", 31, 0)),  # 31 is really forced to d
+)
+
+
 def test_failing_fact_produces_valid_counterexample():
     hx = load_gadget("Hx")
-    broken = Contract(
-        target="T4",
-        mode=Mode.IOS,
-        anchor=None,
-        facts=(("nonempty",), ("forced", 31, 0)),  # 31 is really forced to d
-    )
-    report = verify_contract(hx.graph, broken)
+    report = verify_contract(hx.graph, BROKEN_HX)
     assert not report.passed
     assert report.counterexample is not None
     ok, _ = verify_colouring(hx.graph, named_target("T4"), report.counterexample, Mode.IOS)
     assert ok
+
+
+def test_invalid_counterexample_raises_package_error(monkeypatch):
+    # a raised check, unlike an assert, survives python -O
+    monkeypatch.setattr("injhom.gadgets.verify_colouring", lambda *args: (False, "planted"))
+    with pytest.raises(InjhomError, match="invalid witness: planted"):
+        verify_contract(load_gadget("Hx").graph, BROKEN_HX)
 
 
 def test_forced_fact_never_passes_vacuously():

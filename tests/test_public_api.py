@@ -40,3 +40,11 @@ def test_no_unused_imports_in_package_modules():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted((line, name) for name, line in imported.items() if name not in used)
         assert not unused, f"{path.name}: unused imports (line, name) {unused}"
+
+
+def test_no_assert_statements_in_package_modules():
+    # python -O strips assert statements, so a check the package relies on raises
+    for path in sorted(Path(injhom.__file__).parent.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"

@@ -10,6 +10,7 @@ from injhom.errors import (
     DegreeTooHigh,
     DegreeTooLow,
     DuplicateArc,
+    InjhomError,
     MalformedLine,
     NormalizationFailed,
     PortColourMismatch,
@@ -219,6 +220,13 @@ def test_lift_rejects_improper_base():
     bad = {e: 1 for e in K3.edges}  # all edges coloured b: not proper
     with pytest.raises(ValueError):
         lift_colouring(ri, bad)
+
+
+def test_lift_raises_package_error_on_invalid_witness(monkeypatch):
+    # a raised check, unlike an assert, survives python -O
+    monkeypatch.setattr("injhom.reductions.verify_colouring", lambda *args: (False, "planted"))
+    with pytest.raises(InjhomError, match="invalid witness: planted"):
+        lift_colouring(build_ios_t4(K3), three_edge_colouring_oracle(K3))
 
 
 # -- T5 builders -------------------------------------------------------------

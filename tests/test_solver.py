@@ -9,6 +9,7 @@ from injhom.digraph import MODES, Mode, OrientedGraph
 from injhom.errors import InjhomError, InvalidFixedAssignment, PartialColouring
 from injhom.gadgets import load_gadget
 from injhom.naive import naive_witnesses
+from injhom.poly import decide_small_target
 from injhom.reductions import (
     UndirectedGraph,
     build_ios_collapse,
@@ -552,9 +553,14 @@ def _check_compile(rng, graphs, targets):
             for t in targets:
                 fixed = _valid_fixing(rng, g, t, pairs)
                 fixings += bool(fixed)
+                # the engine's kinds, mapped through the colour-major rows to
+                # the per-colour tables the oracle builds
+                rows = t.colour_masks().rows
+                by_kind = [tuple(rc[k] for rc in rows) for k in range(8)]
                 for f in ({}, fixed):
                     eng = _Engine(g, t, mode, f)
-                    assert (eng.dom0, eng.cons) == _oracle_compile(g, t, mode, f, pairs), (
+                    cons = [[(u, by_kind[k]) for u, k in cv] for cv in eng.cons]
+                    assert (eng.dom0, cons) == _oracle_compile(g, t, mode, f, pairs), (
                         g, t, mode, f)
     return fixings
 
@@ -567,6 +573,52 @@ def test_compile_matches_global_tables_on_all_small_graphs():
 def test_compile_matches_global_tables_on_larger_graphs():
     graphs = [_random_graph(random.Random(seed), 30, loop_p=0.1) for seed in range(4)]
     assert _check_compile(random.Random(30), graphs, (C3, T5, LOOPY)) > 24
+
+
+# -- the graph's half of the compile, memoised on the graph ----------------
+
+
+def _engine_tables(g, t, mode, fixed):
+    try:
+        eng = _Engine(g, t, mode, fixed)
+    except InvalidFixedAssignment as exc:
+        return str(exc)
+    return eng.dom0, eng.cons, decide(g, t, mode, fixed)
+
+
+def test_constraint_table_memo_matches_a_fresh_graph():
+    """One graph warmed in every mode, under several targets and fixings, gives
+    the engine what a fresh equal graph gives, and its tables stay as built."""
+    rng = random.Random(12)
+    # 3 and 4 share 2's in-set, so {0: 0, 3: 1, 4: 1} is joined at 0 and then
+    # raises at 3, partway through the join
+    hand = OrientedGraph(6, [(0, 1), (3, 2), (4, 2), (0, 3), (5, 5), (1, 5)])
+    raised = 0
+    for g in (hand, _random_graph(rng, 7)):
+        for mode in (Mode.IOT, Mode.IN, Mode.IOS, Mode.IN):
+            pairs = _oracle_pairs(g, mode)
+            for t in (C3, T4, LOOPY):
+                for fixed in ({}, _valid_fixing(rng, g, t, pairs), {0: 0, 3: 1, 4: 1}):
+                    got = _engine_tables(g, t, mode, fixed)
+                    assert got == _engine_tables(OrientedGraph(g.n, g.arcs), t, mode, fixed)
+                    raised += isinstance(got, str)
+        fresh = OrientedGraph(g.n, g.arcs)
+        tables = [g.constraint_table(mode) for mode in MODES]
+        assert tables == [fresh.constraint_table(mode) for mode in MODES]
+        # the modes differ here, so a memo blind to the mode would show
+        assert all(a != b for a, b in itertools.combinations(tables, 2))
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert raised >= 12  # the hand fixing, in every mode and target
+
+
+def test_screen_and_poly_leave_the_partner_table_unbuilt():
+    # the 2-colour decider runs on 10^3-10^4-vertex graphs that never reach the search
+    g = _random_graph(random.Random(3), 8)
+    for mode in MODES:
+        pigeonhole_unsat(g, T4, mode)
+        decide_small_target(g, named_target("TT2"), mode)
+    assert g.mode_sets(Mode.IOT) is g.mode_sets(Mode.IOT)
+    assert not any(isinstance(key, Mode) for key in g._memo)
 
 
 def _oracle_pigeonhole(g, t, mode):
