@@ -15,11 +15,11 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import (
-    _pair_perm_tables,
     canonical_form,
     degree_profile,
     enumerate_reflexive_tournaments,
     is_vertex_transitive,
+    least_relabelling,
     named_target,
 )
 from .digraph import MODES, Mode, OrientedGraph, is_strongly_connected, random_oriented_graph
@@ -103,13 +103,8 @@ def subcubic_graphs_upto_iso(n: int) -> tuple[UndirectedGraph, ...]:
     degrees = bits @ inc.astype(np.int64)
     bits = bits[(degrees <= 3).all(axis=1)]
     # canonicalize: minimal edge bit-string over all vertex permutations
-    weights = (1 << np.arange(k, dtype=np.int64))[::-1]
-    best = None
-    for idx in _pair_perm_tables(n)[0]:
-        vals = bits[:, idx].astype(np.int64) @ weights
-        best = vals if best is None else np.minimum(best, vals)
     graphs = []
-    for value in np.unique(best):
+    for value in np.unique(least_relabelling(bits, bits, n)):
         edges = [pairs[i] for i in range(k) if (int(value) >> (k - 1 - i)) & 1]
         graphs.append(UndirectedGraph(n, edges))
     return tuple(graphs)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import MODES, Mode, OrientedGraph
+from .digraph import OrientedGraph
 from .errors import BoundExceeded
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -54,58 +54,6 @@ def parse_colour(text: str, n: int) -> int:
     return c
 
 
-class ColourMasks(NamedTuple):
-    """A target's colour sets as bitmasks (bit c stands for colour c): the
-    one table of the constraint rules that the solver and its pigeonhole
-    screen read."""
-
-    # rows[c][kind]: the colours a partner u of an instance vertex v may take
-    # when v takes c, for the kind bit set 1 = arc v -> u, 2 = arc u -> v,
-    # 4 = u and v must differ (OrientedGraph.constraint_table); each set bit
-    # adds its condition, so rows[c][1] is c's out-set and rows[c][2] its
-    # in-set.  Kinds 3 and 7 would need a digon, and kind 0 is no constraint.
-    # Colour-major, so the search reads rows[c] once per node.
-    rows: tuple[tuple[int, ...], ...]
-    loops: int  # the colours with a loop
-    # capacity[mode][i][k]: the colours whose i-th mode-relevant neighbourhood
-    # (in the order of OrientedGraph.mode_sets) has at least k members.  A
-    # neighbourhood of size k fits some colour iff k < len(capacity[mode][i]);
-    # a 0-vertex target gets (0,), which fits nothing
-    capacity: dict[Mode, tuple[tuple[int, ...], ...]]
-
-
-def _capacity(sizes: list[int]) -> tuple[int, ...]:
-    return tuple(
-        sum(1 << c for c, size in enumerate(sizes) if size >= k)
-        for k in range(max(sizes, default=0) + 1)
-    )
-
-
-def _colour_masks(g: OrientedGraph) -> ColourMasks:
-    colours = range(g.n)
-    out = tuple(sum(1 << d for d in g.out_set(c)) for c in colours)
-    into = tuple(sum(1 << d for d in g.in_set(c)) for c in colours)
-    full = (1 << g.n) - 1
-    rows = tuple(
-        tuple(
-            (out[c] if kind & 1 else full)
-            & (into[c] if kind & 2 else full)
-            & (full ^ (1 << c) if kind & 4 else full)
-            for kind in range(8)
-        )
-        for c in colours
-    )
-    loops = sum(1 << c for c in colours if g.has_loop(c))
-    capacity = {
-        mode: tuple(
-            _capacity([len(s) for s in sets])
-            for sets in g.mode_sets(mode)
-        )
-        for mode in MODES
-    }
-    return ColourMasks(rows, loops, capacity)
-
-
 class RootSymmetry(NamedTuple):
     """A target's automorphisms in the form the search's root rule reads.
 
@@ -120,30 +68,35 @@ class RootSymmetry(NamedTuple):
     stabilisers: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _root_symmetry(n: int, auts) -> RootSymmetry:
-    roots = [c for c in range(n) if all(pi[c] >= c for pi in auts)]
-    identity = tuple(range(n))
+def _automorphism_group(g: OrientedGraph) -> tuple[tuple[int, ...], ...]:
+    # a cache key that stays fixed when the module's `automorphisms` is rebound
+    return automorphisms(g)
+
+
+def _root_symmetry(g: OrientedGraph) -> RootSymmetry:
+    auts = g._memoised(_automorphism_group)
+    roots = [c for c in range(g.n) if all(pi[c] >= c for pi in auts)]
+    identity = tuple(range(g.n))
     stabilisers = tuple(
         tuple(pi for pi in auts if pi[c] == c and pi != identity) if c in roots else ()
-        for c in range(n)
+        for c in range(g.n)
     )
     return RootSymmetry(sum(1 << c for c in roots), stabilisers)
 
 
 class Target:
-    """A colour space: a digraph with its cached automorphisms, masks and root symmetry."""
+    """A colour space: a digraph and an optional name, both read-only.  What
+    is derived from the graph (automorphisms, root symmetry, the solver's
+    table) is cached on the graph."""
 
-    __slots__ = ("graph", "name", "_auts", "_masks", "_symmetry")
+    __slots__ = ("graph", "name")
 
     def __init__(self, graph: OrientedGraph, name: str | None = None):
         self.graph = graph
         self.name = name
-        self._auts: tuple[tuple[int, ...], ...] | None = None
-        self._masks: ColourMasks | None = None
-        self._symmetry: RootSymmetry | None = None
 
     def __setattr__(self, attr, value):
-        if attr in ("graph", "name") and hasattr(self, attr):
+        if hasattr(self, attr):
             raise AttributeError(f"Target.{attr} is read-only: named targets are shared")
         object.__setattr__(self, attr, value)
 
@@ -165,21 +118,12 @@ class Target:
         return True
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        if self._auts is None:
-            self._auts = automorphisms(self)
-        return self._auts
-
-    def colour_masks(self) -> ColourMasks:
-        if self._masks is None:
-            self._masks = _colour_masks(self.graph)
-        return self._masks
+        return self.graph._memoised(_automorphism_group)
 
     def root_symmetry(self) -> RootSymmetry:
         """Root colours and their stabilisers, from `automorphisms()`; like
         it, limited to CANONICAL_MAX vertices."""
-        if self._symmetry is None:
-            self._symmetry = _root_symmetry(self.n, self.automorphisms())
-        return self._symmetry
+        return self.graph._memoised(_root_symmetry)
 
     def __repr__(self):
         label = self.name or f"<{self.graph.n}-vertex target>"
@@ -204,8 +148,8 @@ _T5_STRICT = [(i, (i + k) % 5) for i in range(5) for k in (1, 2)]
 
 
 def named_target(name: str) -> Target:
-    """The named target; one shared Target per name, so its automorphisms and
-    colour masks are computed once per process."""
+    """The named target; one shared Target per name, so what is derived from
+    its graph is computed once per process."""
     return _named_target(name.strip())
 
 
@@ -321,39 +265,25 @@ def degree_profile(t: Target) -> DegreeProfile:
 ENUMERATION_MAX = 7
 
 
-@lru_cache(maxsize=None)
-def _pair_perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per permutation: source pair index and flip flag for each vertex pair.
+def least_relabelling(above: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the least value over all relabellings of the bits of the
+    pairs (i, j), i < j, read in order as a big-endian bit string.
 
-    Orientations of K_n are bit vectors over the pairs (i, j), i < j, where a
-    set bit means the arc i->j.  Relabelling by pi sends pair k = (i, j) to the
-    bit of pair (pi(i), pi(j)), negated when pi(i) > pi(j).
+    Row r of `above` holds the bits of the pairs (i, j), i < j, in order, and
+    row r of `below` those of the pairs (j, i): the complements for an
+    orientation, the same bits for an undirected graph.  Relabelling reads
+    both through one gather of the adjacency rows.
     """
-    pairs = list(itertools.combinations(range(n), 2))
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    perms = _perm_table(n)
-    idx = np.zeros((len(perms), len(pairs)), dtype=np.int64)
-    flip = np.zeros((len(perms), len(pairs)), dtype=np.uint8)
-    for p, pi in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            a, b = int(pi[i]), int(pi[j])
-            if a < b:
-                idx[p, k] = pair_index[(a, b)]
-                flip[p, k] = 0
-            else:
-                idx[p, k] = pair_index[(b, a)]
-                flip[p, k] = 1
-    return idx, flip
-
-
-def _canonical_orientation_values(bits: np.ndarray, n: int) -> np.ndarray:
-    """Minimal packed orientation value over all relabellings, per row of bits."""
-    idx, flip = _pair_perm_tables(n)
-    k = bits.shape[1]
-    weights = (1 << np.arange(k, dtype=np.int64))[::-1]
+    rows = len(above)
+    adj = np.zeros((rows, n, n), dtype=np.uint8)
+    i, j = np.triu_indices(n, 1)  # the pairs in combinations order
+    adj[:, i, j] = above
+    adj[:, j, i] = below
+    adj = adj.reshape(rows, n * n)
+    weights = (1 << np.arange(len(i), dtype=np.int64))[::-1]
     best = None
-    for p in range(idx.shape[0]):
-        vals = (bits[:, idx[p]] ^ flip[p]).astype(np.int64) @ weights
+    for idx in _perm_flat_index(n)[:, i * n + j]:
+        vals = adj[:, idx].astype(np.int64) @ weights
         best = vals if best is None else np.minimum(best, vals)
     return best
 
@@ -386,7 +316,8 @@ def _enumerate_values(n: int) -> tuple[int, ...]:
     bits = np.zeros((len(base), len(patterns), len(pairs)), dtype=np.uint8)
     bits[:, :, inner] = ((base[:, None] >> np.arange(len(inner))[::-1]) & 1)[:, None, :]
     bits[:, :, outer] = (patterns[:, None] >> np.arange(n - 1)) & 1
-    best = _canonical_orientation_values(bits.reshape(-1, len(pairs)), n)
+    bits = bits.reshape(-1, len(pairs))
+    best = least_relabelling(bits, 1 - bits, n)
     return tuple(int(v) for v in np.unique(best))
 
 

@@ -64,7 +64,9 @@ def cmd_solve(args) -> int:
     fixed = {}
     for item in args.fixed or ():
         v, _, c = item.partition("=")
-        fixed[int(v)] = parse_colour(c, target.graph.n)
+        vid, colour = int(v), parse_colour(c, target.graph.n)
+        if fixed.setdefault(vid, colour) != colour:
+            raise InjhomError(f"--fixed gives vertex {vid} two colours")
 
     if args.enumerate is not None:
         limit = None if args.enumerate == "all" else int(args.enumerate)

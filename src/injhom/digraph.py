@@ -31,6 +31,10 @@ class Mode(Enum):
     IOS = "ios"  # injective on N-(v) and on N+(v), separately
     IOT = "iot"  # injective on N-(v) union N+(v)
 
+    # members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is a Python call on every lookup keyed by a mode
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "Mode":
         for m in cls:
@@ -66,7 +70,7 @@ class OrientedGraph:
             nin[v].add(u)
         object.__setattr__(self, "_nin", tuple(frozenset(s) for s in nin))
         object.__setattr__(self, "_nout", tuple(frozenset(s) for s in nout))
-        object.__setattr__(self, "_memo", None)  # derived tables, built on first use
+        object.__setattr__(self, "_memo", None)  # see _memoised
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("OrientedGraph is immutable")
@@ -113,53 +117,36 @@ class OrientedGraph:
             return (self._nin,)
         if mode is Mode.IOS:
             return (self._nin, self._nout)
-        return self._memoised(
-            "both", lambda: (tuple(map(frozenset.union, self._nin, self._nout)),)
-        )
+        if mode is Mode.IOT:
+            return self._memoised(_union_sets)
+        raise ValueError(f"mode {mode!r} is not a Mode (Mode.IN, Mode.IOS or Mode.IOT)")
 
-    def constraint_table(self, mode: Mode) -> tuple[tuple, tuple, tuple]:
-        """The graph's half of the solver's constraints in `mode`, built once
-        per graph and mode: (sizes, loops, pairs).  sizes[i][v] is the size of
-        v's i-th mode set (as in mode_sets), loops[v] whether v has a loop, and
-        pairs[v] lists v's partners u by id, each as (u, kind): bit 1 for an
-        arc v -> u, bit 2 for an arc u -> v, bit 4 when u and v share a mode
-        set and must differ.  v is never its own partner."""
-        return self._memoised(mode, lambda: self._compile(mode))
+    def _memoised(self, build, *args):
+        """build(self, *args), computed once per graph: the graph never changes.
 
-    def _compile(self, mode: Mode) -> tuple[tuple, tuple, tuple]:
-        nin, nout = self._nin, self._nout
-        sets = self.mode_sets(mode)
-        # v is in w's in-set iff w is in v's out-set; the union mirrors itself
-        families = tuple(zip(sets, sets if mode is Mode.IOT else (nout, nin)))
-        pairs = []
-        for v in range(self.n):
-            partners: set[int] = set()
-            for s, mirror in families:
-                for w in mirror[v]:
-                    partners |= s[w]
-            nb = dict.fromkeys(partners, 4)
-            for u in nout[v]:
-                nb[u] = nb.get(u, 0) | 1
-            for u in nin[v]:
-                nb[u] = nb.get(u, 0) | 2
-            nb.pop(v, None)
-            pairs.append(tuple(sorted(nb.items())))
-        sizes = tuple(tuple(map(len, s)) for s in sets)
-        loops = tuple(v in out for v, out in enumerate(nout))
-        return sizes, loops, tuple(pairs)
-
-    def _memoised(self, key, build):
-        """build(), computed once per key: the graph never changes."""
-        memo = self._memo or {}
+        The one cache for data derived from a graph, whichever module derives
+        it: the iot union sets here, the search's constraint tables in
+        solver.py (both halves: a graph can be an instance and a target) and
+        a target's automorphisms and root symmetry in catalog.py.  The key is
+        the builder with its arguments, so two builders never share an entry.
+        Equality, hashing and repr ignore the cache."""
+        key = (build, *args) if args else build
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
         value = memo.get(key)
         if value is None:
-            memo[key] = value = build()
-            object.__setattr__(self, "_memo", memo)
+            memo[key] = value = build(self, *args)
         return value
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise VertexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
+
+
+def _union_sets(g: OrientedGraph) -> tuple[tuple[frozenset[int], ...]]:
+    return (tuple(map(frozenset.union, g._nin, g._nout)),)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,30 @@
 """Decide and enumerate locally-injective homomorphisms.
 
+Constraint tables (built, read and described only here).  The search joins
+two halves, each compiled once per graph and kept in that graph's cache
+(`OrientedGraph._memoised`), so a graph can serve as instance and target:
+
+* the instance's half, `_instance_table(g, mode)` = (sizes, loops, pairs):
+  sizes[i][v] is the size of v's i-th mode set (as in `mode_sets`),
+  loops[v] whether v has a loop, and pairs[v] v's partners u, sorted by id,
+  each as (u, kind).  The kind bits: 1 for an arc v -> u, 2 for an arc
+  u -> v, 4 when u and v share a mode-relevant neighbourhood and must
+  differ (in: the in-neighbours of v's out-neighbours; ios: also the
+  out-neighbours of v's in-neighbours; iot: the neighbours of v's
+  neighbours; v itself dropped);
+* the target's half, `_target_table(t.graph)`, in bitmasks (bit c stands
+  for colour c).  rows[c][kind] is the set of colours a partner of kind
+  `kind` may take when v takes c, each set bit adding its condition, so
+  rows[c][1] is c's out-set and rows[c][2] its in-set; kinds 3 and 7
+  would need a digon, and kind 0 is no constraint.  Colour-major, so the
+  search reads rows[c] once per node.  loops is the set of loop colours.
+  capacity[mode][i][k] is the set of colours whose i-th mode set has at
+  least k members: a mode set of size k fits some colour iff
+  k < len(capacity[mode][i]), and a 0-vertex target gets (0,), which
+  fits nothing.
+
 Search policy (pinned for reproducibility):
 
-* constraints join two cached halves.  The instance's half
-  (`OrientedGraph.constraint_table`, built once per graph and mode) gives
-  each vertex v its mode-set sizes, its loop flag and its partners u,
-  sorted by id, each with a kind: bit 1 for an arc v -> u, bit 2 for an
-  arc u -> v, bit 4 when u and v share a mode-relevant neighbourhood and
-  must differ (in: the in-neighbours of v's out-neighbours; ios: also the
-  out-neighbours of v's in-neighbours; iot: the neighbours of v's
-  neighbours; v itself dropped).  The target's half (`ColourMasks.rows`,
-  built once per target) gives, per colour c and kind, the colours the
-  partner may take, so the engine only filters domains and looks rows up;
 * a fixed (pre-coloured) assignment is checked once.  The in-arcs of the
   fixed vertices come first, the first bad arc reported by fixed-order
   position of its head, then of its tail.  The join then checks
@@ -20,9 +33,7 @@ Search policy (pinned for reproducibility):
   fixed vertices then get no constraint: they could never narrow a domain;
 * unary filtering up front: loop arcs restrict a vertex to loop colours, and
   a vertex whose mode-relevant neighbourhood is larger than any colour's
-  matching neighbourhood gets an empty domain (the pigeonhole screen).  The
-  colour masks behind both filters and the tables are computed once per
-  target and cached on it (`Target.colour_masks`);
+  matching neighbourhood gets an empty domain (the pigeonhole screen);
 * the root rule breaks the target's symmetry (Crawford et al., KR 1996).
   With nothing fixed, decide() narrows its most-constrained vertex (the
   longest constraint list, ties by vertex id) to the orbit-minimal colours
@@ -46,10 +57,10 @@ Everything is single-threaded and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import CANONICAL_MAX, Target
-from .digraph import Mode, OrientedGraph
+from .digraph import MODES, Mode, OrientedGraph
 from .errors import InjhomError, InvalidFixedAssignment, PartialColouring
 
 SAT = "sat"
@@ -73,12 +84,75 @@ class SolveResult:
         return self.status == SAT
 
 
+def _instance_table(g: OrientedGraph, mode: Mode) -> tuple[tuple, tuple, tuple]:
+    """The instance's half: (sizes, loops, pairs), as the module docstring says."""
+    nin, nout = g.mode_sets(Mode.IOS)
+    sets = g.mode_sets(mode)
+    # v is in w's in-set iff w is in v's out-set; the union mirrors itself
+    families = tuple(zip(sets, sets if mode is Mode.IOT else (nout, nin)))
+    pairs = []
+    for v in range(g.n):
+        partners: set[int] = set()
+        for s, mirror in families:
+            for w in mirror[v]:
+                partners |= s[w]
+        nb = dict.fromkeys(partners, 4)
+        for u in nout[v]:
+            nb[u] = nb.get(u, 0) | 1
+        for u in nin[v]:
+            nb[u] = nb.get(u, 0) | 2
+        nb.pop(v, None)
+        pairs.append(tuple(sorted(nb.items())))
+    sizes = tuple(tuple(map(len, s)) for s in sets)
+    loops = tuple(v in out for v, out in enumerate(nout))
+    return sizes, loops, tuple(pairs)
+
+
+class _TargetTable(NamedTuple):
+    """The target's half, as the module docstring says."""
+
+    rows: tuple[tuple[int, ...], ...]
+    loops: int
+    capacity: dict[Mode, tuple[tuple[int, ...], ...]]
+
+
+def _capacity(sizes: list[int]) -> tuple[int, ...]:
+    return tuple(
+        sum(1 << c for c, size in enumerate(sizes) if size >= k)
+        for k in range(max(sizes, default=0) + 1)
+    )
+
+
+def _target_table(tg: OrientedGraph) -> _TargetTable:
+    colours = range(tg.n)
+    out = tuple(sum(1 << d for d in tg.out_set(c)) for c in colours)
+    into = tuple(sum(1 << d for d in tg.in_set(c)) for c in colours)
+    full = (1 << tg.n) - 1
+    rows = tuple(
+        tuple(
+            (out[c] if kind & 1 else full)
+            & (into[c] if kind & 2 else full)
+            & (full ^ (1 << c) if kind & 4 else full)
+            for kind in range(8)
+        )
+        for c in colours
+    )
+    loops = sum(1 << c for c in colours if tg.has_loop(c))
+    capacity = {
+        mode: tuple(_capacity([len(s) for s in sets]) for sets in tg.mode_sets(mode))
+        for mode in MODES
+    }
+    return _TargetTable(rows, loops, capacity)
+
+
 def pigeonhole_unsat(g: OrientedGraph, t: Target, mode: Mode) -> bool:
     """True when some mode-relevant neighbourhood cannot fit into the target."""
     # a set of size k fits some colour iff k < len(cap)
     return any(
         max(map(len, sets), default=0) >= len(cap)
-        for sets, cap in zip(g.mode_sets(mode), t.colour_masks().capacity[mode])
+        for sets, cap in zip(
+            g.mode_sets(mode), t.graph._memoised(_target_table).capacity[mode]
+        )
     )
 
 
@@ -91,14 +165,14 @@ class _Engine:
         self.fixed = fixed = dict(fixed or {})
         if fixed:
             self._validate_fixed()
-        masks = t.colour_masks()
-        self.rows = masks.rows
+        sizes, looped, pairs = g._memoised(_instance_table, mode)
+        table = t.graph._memoised(_target_table)
+        self.rows = table.rows
         self.tn = t.n
-        sizes, looped, pairs = g.constraint_table(mode)
         # dom0[v] is v's unary filter: loops, mode-set capacities, a fixed colour
         full = (1 << self.tn) - 1
-        dom = [masks.loops if loop else full for loop in looped]
-        for cap, ks in zip(masks.capacity[mode], sizes):
+        dom = [table.loops if loop else full for loop in looped]
+        for cap, ks in zip(table.capacity[mode], sizes):
             dom = [m & cap[k] if k < len(cap) else 0 for m, k in zip(dom, ks)]
         # cons[v] is the graph's shared (u, kind) list; a fixed v gets a copy
         # without its fixed partners, after a check that none of its fixed
@@ -356,6 +430,7 @@ def verify_colouring(
     mode: Mode,
 ) -> tuple[bool, str | None]:
     """Check a total colouring; on failure, report one violating arc or pair."""
+    sets = g.mode_sets(mode)
     f = _as_total(g, colouring)
     tg = t.graph
     for c in f:
@@ -366,15 +441,11 @@ def verify_colouring(
             return False, (
                 f"arc ({u}, {v}) maps to ({f[u]}, {f[v]}), not an arc of the target"
             )
-    sets = {
-        Mode.IN: (("in", g.in_set),),
-        Mode.IOS: (("in", g.in_set), ("out", g.out_set)),
-        Mode.IOT: (("both", g.both_set),),
-    }[mode]
+    labels = ("both",) if mode is Mode.IOT else ("in", "out")
     for v in range(g.n):
-        for label, members in sets:
+        for label, members in zip(labels, sets):
             seen: dict[int, int] = {}
-            for x in sorted(members(v)):
+            for x in sorted(members[v]):
                 if f[x] in seen:
                     return False, (
                         f"vertices {seen[f[x]]} and {x} in the {label}-neighbourhood "

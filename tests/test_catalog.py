@@ -16,6 +16,7 @@ from injhom.catalog import (
 )
 from injhom.digraph import OrientedGraph, parse_graph
 from injhom.errors import BoundExceeded
+from injhom.solver import _target_table
 
 
 def test_c3_arcs():
@@ -58,7 +59,8 @@ def test_named_targets_are_reflexive_tournaments():
 def test_named_target_is_shared_per_name():
     t5 = named_target("T5")
     assert named_target(" T5 ") is t5
-    assert t5.colour_masks() is named_target("T5").colour_masks()
+    table = t5.graph._memoised(_target_table)
+    assert table is named_target("T5").graph._memoised(_target_table)
     assert named_target("TT3") is named_target("TT3") is not named_target("TT4")
     with pytest.raises(AttributeError):
         t5.name = "other"
@@ -69,10 +71,11 @@ def test_named_target_is_shared_per_name():
 
 
 def test_kind_rows_combine_out_into_differ():
-    # ColourMasks.rows[c][kind]: bit 1 = arc to the partner, 2 = arc from it, 4 = differ
+    # the solver's target table, rows[c][kind]: bit 1 = arc to the partner,
+    # 2 = arc from it, 4 = differ
     for name in ("C3", "TT1", "TT2", "TT3", "TT5", "TT7", "T4", "T5"):
         t = named_target(name)
-        g, masks = t.graph, t.colour_masks()
+        g, masks = t.graph, t.graph._memoised(_target_table)
         colours = range(g.n)
         full = (1 << g.n) - 1
         out = tuple(sum(1 << d for d in colours if g.has_arc(c, d)) for c in colours)

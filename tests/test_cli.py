@@ -132,6 +132,17 @@ def test_solve_fixed_and_fast_small(cycle_file, capsys):
     assert exc.value.code == 2
 
 
+def test_solve_rejects_a_vertex_fixed_to_two_colours(cycle_file, capsys):
+    base = ["solve", "--input", str(cycle_file), "--target", "C3", "--mode", "ios"]
+    rc = main([*base, "--fixed", "0=a", "--fixed", "0=b"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "vertex 0" in captured.err
+    # the same colour twice is no conflict
+    rc = main([*base, "--fixed", "0=b", "--fixed", "0=1"])
+    assert rc == 0 and "0=b" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode", ["in", "ios", "iot"])
 def test_solve_two_vertex_target_witness_verifies(tmp_path, capsys, mode):
     path = tmp_path / "path.graph"

@@ -24,6 +24,8 @@ from injhom.reductions import (
 )
 from injhom.solver import (
     _Engine,
+    _instance_table,
+    _target_table,
     decide,
     enumerate_colourings,
     enumerate_mod_aut,
@@ -503,7 +505,7 @@ def _oracle_pairs(g, mode):
 
 
 def _oracle_compile(g, t, mode, fixed, pairs):
-    masks = t.colour_masks()
+    masks = t.graph._memoised(_target_table)
     full = (1 << t.n) - 1
     out = tuple(sum(1 << d for d in t.graph.out_set(c)) for c in range(t.n))
     into = tuple(sum(1 << d for d in t.graph.in_set(c)) for c in range(t.n))
@@ -555,7 +557,7 @@ def _check_compile(rng, graphs, targets):
                 fixings += bool(fixed)
                 # the engine's kinds, mapped through the colour-major rows to
                 # the per-colour tables the oracle builds
-                rows = t.colour_masks().rows
+                rows = t.graph._memoised(_target_table).rows
                 by_kind = [tuple(rc[k] for rc in rows) for k in range(8)]
                 for f in ({}, fixed):
                     eng = _Engine(g, t, mode, f)
@@ -575,7 +577,7 @@ def test_compile_matches_global_tables_on_larger_graphs():
     assert _check_compile(random.Random(30), graphs, (C3, T5, LOOPY)) > 24
 
 
-# -- the graph's half of the compile, memoised on the graph ----------------
+# -- both halves of the compile, in the graph's one cache ---------------------
 
 
 def _engine_tables(g, t, mode, fixed):
@@ -603,8 +605,8 @@ def test_constraint_table_memo_matches_a_fresh_graph():
                     assert got == _engine_tables(OrientedGraph(g.n, g.arcs), t, mode, fixed)
                     raised += isinstance(got, str)
         fresh = OrientedGraph(g.n, g.arcs)
-        tables = [g.constraint_table(mode) for mode in MODES]
-        assert tables == [fresh.constraint_table(mode) for mode in MODES]
+        tables = [g._memoised(_instance_table, mode) for mode in MODES]
+        assert tables == [fresh._memoised(_instance_table, mode) for mode in MODES]
         # the modes differ here, so a memo blind to the mode would show
         assert all(a != b for a, b in itertools.combinations(tables, 2))
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
@@ -618,7 +620,40 @@ def test_screen_and_poly_leave_the_partner_table_unbuilt():
         pigeonhole_unsat(g, T4, mode)
         decide_small_target(g, named_target("TT2"), mode)
     assert g.mode_sets(Mode.IOT) is g.mode_sets(Mode.IOT)
-    assert not any(isinstance(key, Mode) for key in g._memo)
+    assert not any((_instance_table, mode) in g._memo for mode in MODES)
+
+
+def test_a_graph_that_is_instance_and_target_shares_one_cache():
+    """A graph solved against itself keeps the instance's half, the target's
+    half and its automorphisms in its one cache; it answers as fresh equal
+    graphs do in every mode, whichever half was built first."""
+    for t, run in ((T5, decide), (LOOPY, enumerate_colourings), (C3, enumerate_mod_aut)):
+        for mode in MODES:
+            n, arcs = t.graph.n, t.graph.arcs
+            want = run(OrientedGraph(n, arcs), Target(OrientedGraph(n, arcs)), mode)
+            assert run(t.graph, t, mode) == want, (t.name, mode)
+            # the target's half first, then the instance's
+            g = OrientedGraph(n, arcs)
+            pigeonhole_unsat(THREE_CYCLE, Target(g), mode)
+            assert run(g, Target(g), mode) == want, (t.name, mode)
+            assert run(g, Target(g), mode) == want, (t.name, mode)
+            assert Target(g).root_symmetry() == t.root_symmetry()
+
+
+@pytest.mark.parametrize("bad", ["in", "iot", None, 1])
+def test_a_mode_that_is_not_a_mode_raises(bad):
+    path = OrientedGraph(3, [(0, 1), (1, 2)])
+    assert len(naive_witnesses(path, C3, Mode.IN)) == 12
+    calls = (
+        lambda: naive_witnesses(path, C3, bad),
+        lambda: decide(path, C3, bad),
+        lambda: enumerate_colourings(path, C3, bad),
+        lambda: verify_colouring(path, C3, (0, 1, 2), bad),
+        lambda: pigeonhole_unsat(path, C3, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"mode {bad!r} is not a Mode"):
+            call()
 
 
 def _oracle_pigeonhole(g, t, mode):
