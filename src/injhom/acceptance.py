@@ -12,15 +12,14 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .catalog import (
     canonical_form,
+    classes_by_extension,
     degree_profile,
     enumerate_reflexive_tournaments,
     is_vertex_transitive,
-    least_relabelling,
     named_target,
+    pair_arcs,
 )
 from .digraph import MODES, Mode, OrientedGraph, is_strongly_connected, random_oriented_graph
 from .gadgets import ALL_LEMMAS, ASSET_NAMES, lemma_reports, load_gadget, verify_gadget
@@ -88,26 +87,17 @@ def all_oriented_graphs(n: int):
             yield OrientedGraph(n, arcs)
 
 
-@lru_cache(maxsize=None)
+def _subcubic_joins(rows: list[int]) -> list[int]:
+    """Every join of a new vertex to at most 3 old vertices of degree below 3."""
+    low = [v for v, row in enumerate(rows) if row.bit_count() < 3]
+    return [sum(1 << v for v in c) for k in range(4) for c in itertools.combinations(low, k)]
+
+
 def subcubic_graphs_upto_iso(n: int) -> tuple[UndirectedGraph, ...]:
-    """All simple graphs on n vertices with max degree <= 3, one per iso class."""
-    pairs = list(itertools.combinations(range(n), 2))
-    k = len(pairs)
-    if k == 0:
-        return (UndirectedGraph(n),)
-    masks = np.arange(1 << k, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(k)[::-1]) & 1).astype(np.uint8)
-    inc = np.zeros((k, n), dtype=np.uint8)
-    for i, (u, v) in enumerate(pairs):
-        inc[i, u] = inc[i, v] = 1
-    degrees = bits @ inc.astype(np.int64)
-    bits = bits[(degrees <= 3).all(axis=1)]
-    # canonicalize: minimal edge bit-string over all vertex permutations
-    graphs = []
-    for value in np.unique(least_relabelling(bits, bits, n)):
-        edges = [pairs[i] for i in range(k) if (int(value) >> (k - 1 - i)) & 1]
-        graphs.append(UndirectedGraph(n, edges))
-    return tuple(graphs)
+    """All simple graphs on n vertices with max degree <= 3, one per iso class,
+    in the order of their least edge bit-string over all relabellings."""
+    values = classes_by_extension(n, 0, _subcubic_joins)
+    return tuple(UndirectedGraph(n, pair_arcs(value, n, 0)) for value in values)
 
 
 def petersen_graph() -> UndirectedGraph:

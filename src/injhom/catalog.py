@@ -10,23 +10,21 @@ Colour letters a..h map to vertex ids 0..7 in all I/O.  The named targets:
 
 Enumeration adds one vertex at a time: the n-vertex classes are the
 canonical values of every (n-1)-vertex representative extended by each of the
-2^(n-1) orientations of the new vertex's pairs, deduplicated by np.unique.
-This reaches every class, because deleting a vertex from an n-vertex
-tournament leaves a copy of some (n-1)-vertex representative.
+2^(n-1) orientations of the new vertex's pairs.  This reaches every class,
+because deleting a vertex from an n-vertex tournament leaves a copy of some
+(n-1)-vertex representative.
 
 Canonical forms are lexicographically minimal adjacency bit-strings over all
-vertex permutations, so they are usable as isomorphism keys for any digraph
-on at most 8 vertices.
+vertex relabellings, found by one individualisation-and-refinement search
+that also names the enumerated classes, so they are usable as isomorphism
+keys for any digraph on at most 8 vertices.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .digraph import OrientedGraph
 from .errors import BoundExceeded
@@ -42,6 +40,8 @@ def colour_letter(i: int) -> str:
 
 def parse_colour(text: str, n: int) -> int:
     """A colour given as a letter (a..) or an integer id."""
+    if n == 0:
+        raise ValueError(f"colour {text!r} given, but the target has no colours")
     t = text.strip().lower()
     if len(t) == 1 and t in _LETTERS and _LETTERS.index(t) < n:
         return _LETTERS.index(t)
@@ -181,53 +181,75 @@ def serialize_target(t: Target) -> str:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and automorphisms (brute force over S_n, n <= 8)
+# canonical forms and automorphisms (n <= 8)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> np.ndarray:
-    """(n!, n) array of all permutations of range(n)."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+def _least_relabelling(rows: list[int], full: bool) -> tuple[int, list[list[int]]]:
+    """The least adjacency bit string over all relabellings, as an integer,
+    and every relabelling p (p[a] the vertex placed at a) that gives it.
+
+    Bit y of rows[x] is the arc x->y.  Under p, bit (a, b) is bit p[b] of
+    rows[p[a]]; the string lists row a = 0..n-1 in turn, each with its bits
+    (a, b) for every b when `full`, for b > a only otherwise.
+
+    The search places vertex a from the first of a list of ordered cells.
+    It then splits every later cell into the vertices that p[a] has no arc
+    to, followed by those it has: that order gives row a's later bits their
+    least value, and leaves rows 0..a-1 as they are.  Of every partial
+    relabelling and candidate, only those whose row is least go on
+    (individualisation and refinement; McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Computation 60, 2014).
+    """
+    n = len(rows)
+    value, level = 0, [([], [(1 << n) - 1])]  # (placed vertices, later cells)
+    for a in range(n):
+        least, chosen = None, []
+        for placed, cells in level:
+            for x in range(n):
+                if not cells[0] >> x & 1:
+                    continue
+                row, later = 0, []
+                if full:
+                    for y in placed + [x]:
+                        row = row << 1 | rows[x] >> y & 1
+                for cell in [cells[0] & ~(1 << x)] + cells[1:]:
+                    ones = cell & rows[x]
+                    row = row << cell.bit_count() | (1 << ones.bit_count()) - 1
+                    later += [part for part in (cell & ~ones, ones) if part]
+                if least is None or row < least:
+                    least, chosen = row, []
+                if row == least:
+                    chosen.append((placed + [x], later))
+        value = value << (n if full else n - 1 - a) | least
+        level = chosen
+    return value, [placed for placed, _ in level]
 
 
-@lru_cache(maxsize=None)
-def _perm_flat_index(n: int) -> np.ndarray:
-    """(n!, n*n) gather table: row p lists flat source indices of A[p][:, p]."""
-    perms = _perm_table(n)
-    return (perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n)
-
-
-def _adjacency_bits(g: OrientedGraph) -> np.ndarray:
-    bits = np.zeros(g.n * g.n, dtype=np.uint8)
-    for u, v in g.arcs:
-        bits[u * g.n + v] = 1
-    return bits
+def _least_full_relabelling(t: Target | OrientedGraph, caller: str):
+    g = t.graph if isinstance(t, Target) else t
+    if g.n > CANONICAL_MAX:
+        raise BoundExceeded(f"{caller} limited to {CANONICAL_MAX} vertices")
+    rows = [sum(1 << v for v in g.out_set(u)) for u in range(g.n)]
+    return (g.n, *_least_relabelling(rows, full=True))
 
 
 def canonical_form(t: Target | OrientedGraph) -> bytes:
-    """Isomorphism key: minimal adjacency bit-string over all relabellings."""
-    g = t.graph if isinstance(t, Target) else t
-    if g.n > CANONICAL_MAX:
-        raise BoundExceeded(f"canonical_form limited to {CANONICAL_MAX} vertices")
-    if g.n == 0:
-        return b""
-    bits = _adjacency_bits(g)
-    packed = np.packbits(bits[_perm_flat_index(g.n)], axis=1)
-    return min(row.tobytes() for row in packed)
+    """Isomorphism key: the least n*n adjacency bit string over all
+    relabellings, row by row, packed big-endian and zero-padded to bytes."""
+    n, value, _ = _least_full_relabelling(t, "canonical_form")
+    size = (n * n + 7) // 8
+    return (value << 8 * size - n * n).to_bytes(size, "big")
 
 
 def automorphisms(t: Target | OrientedGraph) -> tuple[tuple[int, ...], ...]:
-    """All arc-preserving vertex permutations, as tuples pi with pi[v] the image."""
-    g = t.graph if isinstance(t, Target) else t
-    if g.n > CANONICAL_MAX:
-        raise BoundExceeded(f"automorphisms limited to {CANONICAL_MAX} vertices")
-    if g.n == 0:
-        return ((),)
-    bits = _adjacency_bits(g)
-    mats = bits[_perm_flat_index(g.n)]
-    mask = (mats == bits[None, :]).all(axis=1)
-    return tuple(tuple(int(x) for x in p) for p in _perm_table(g.n)[mask])
+    """All arc-preserving vertex permutations, as tuples pi with pi[v] the
+    image, in lexicographic order."""
+    n, _, relabellings = _least_full_relabelling(t, "automorphisms")
+    first = relabellings[0]
+    # the full string names the graph, so q gives the same string as `first`
+    # exactly when q[a] = pi[first[a]] for an automorphism pi
+    return tuple(sorted(tuple(q[first.index(v)] for v in range(n)) for q in relabellings))
 
 
 def is_vertex_transitive(t: Target) -> bool:
@@ -265,60 +287,55 @@ def degree_profile(t: Target) -> DegreeProfile:
 ENUMERATION_MAX = 7
 
 
-def least_relabelling(above: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
-    """Per row, the least value over all relabellings of the bits of the
-    pairs (i, j), i < j, read in order as a big-endian bit string.
-
-    Row r of `above` holds the bits of the pairs (i, j), i < j, in order, and
-    row r of `below` those of the pairs (j, i): the complements for an
-    orientation, the same bits for an undirected graph.  Relabelling reads
-    both through one gather of the adjacency rows.
-    """
-    rows = len(above)
-    adj = np.zeros((rows, n, n), dtype=np.uint8)
-    i, j = np.triu_indices(n, 1)  # the pairs in combinations order
-    adj[:, i, j] = above
-    adj[:, j, i] = below
-    adj = adj.reshape(rows, n * n)
-    weights = (1 << np.arange(len(i), dtype=np.int64))[::-1]
-    best = None
-    for idx in _perm_flat_index(n)[:, i * n + j]:
-        vals = adj[:, idx].astype(np.int64) @ weights
-        best = vals if best is None else np.minimum(best, vals)
-    return best
-
-
-def _orientation_to_target(value: int, n: int) -> Target:
-    pairs = list(itertools.combinations(range(n), 2))
-    k = len(pairs)
-    strict = []
-    for bit, (i, j) in enumerate(pairs):
-        if (value >> (k - 1 - bit)) & 1:
-            strict.append((i, j))
-        else:
-            strict.append((j, i))
-    return Target(_reflexive(n, strict))
+def _pair_rows(value: int, n: int, flip: int) -> list[int]:
+    """The arc rows (bit y of row x is the arc x->y) of the n-vertex graph
+    whose pairs (i, j), i < j, read in order as a big-endian bit string,
+    give `value`.  A set bit is the arc i->j, and the arc j->i is that bit
+    xor `flip`: 1 for a tournament, 0 for an undirected graph."""
+    rows = [0] * n
+    k = n * (n - 1) // 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            k -= 1
+            bit = value >> k & 1
+            rows[i] |= bit << j
+            rows[j] |= (bit ^ flip) << i
+    return rows
 
 
 @lru_cache(maxsize=None)
+def classes_by_extension(n: int, flip: int, joins) -> tuple[int, ...]:
+    """The least pair values, ascending, of the n-vertex graphs grown one
+    vertex at a time: vertex m-1 joins each (m-1)-vertex class (read as
+    `_pair_rows` reads it) in every way `joins(rows)` lists, as the mask of
+    the old vertices whose pair with m-1 has bit 1.  In a family closed under
+    vertex deletion, that reaches every class when `joins` lists every way a
+    deleted vertex can have been joined.  `joins` is part of the cache key."""
+    if n == 0:
+        return (0,)
+    found = set()
+    new_row = flip * ((1 << n - 1) - 1)
+    for value in classes_by_extension(n - 1, flip, joins):
+        rows = _pair_rows(value, n - 1, flip)
+        for join in joins(rows):
+            grown = [row | (join >> i & 1) << n - 1 for i, row in enumerate(rows)]
+            found.add(_least_relabelling(grown + [join ^ new_row], full=False)[0])
+    return tuple(sorted(found))
+
+
+def pair_arcs(value: int, n: int, flip: int) -> list[tuple[int, int]]:
+    """The arcs x->y of `_pair_rows(value, n, flip)`."""
+    rows = _pair_rows(value, n, flip)
+    return [(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1]
+
+
+def _every_orientation(rows: list[int]) -> range:
+    return range(1 << len(rows))
+
+
 def _enumerate_values(n: int) -> tuple[int, ...]:
     """Canonical orientation values of the n-vertex tournaments, ascending."""
-    if n == 1:
-        return (0,)
-    # extend every (n-1)-vertex representative by each orientation of the
-    # pairs (i, n-1): its bits fill the pairs inside 0..n-2 in order, and bit
-    # i of the pattern orients (i, n-1)
-    pairs = list(itertools.combinations(range(n), 2))
-    inner = [k for k, (_, j) in enumerate(pairs) if j < n - 1]
-    outer = [k for k, (_, j) in enumerate(pairs) if j == n - 1]
-    base = np.array(_enumerate_values(n - 1), dtype=np.int64)
-    patterns = np.arange(1 << (n - 1), dtype=np.int64)
-    bits = np.zeros((len(base), len(patterns), len(pairs)), dtype=np.uint8)
-    bits[:, :, inner] = ((base[:, None] >> np.arange(len(inner))[::-1]) & 1)[:, None, :]
-    bits[:, :, outer] = (patterns[:, None] >> np.arange(n - 1)) & 1
-    bits = bits.reshape(-1, len(pairs))
-    best = least_relabelling(bits, 1 - bits, n)
-    return tuple(int(v) for v in np.unique(best))
+    return classes_by_extension(n, 1, _every_orientation)
 
 
 def enumerate_reflexive_tournaments(n: int) -> list[Target]:
@@ -328,4 +345,4 @@ def enumerate_reflexive_tournaments(n: int) -> list[Target]:
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise BoundExceeded(f"enumeration supported for 1 <= n <= {ENUMERATION_MAX}")
-    return [_orientation_to_target(v, n) for v in _enumerate_values(n)]
+    return [Target(_reflexive(n, pair_arcs(v, n, 1))) for v in _enumerate_values(n)]

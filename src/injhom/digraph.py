@@ -159,12 +159,12 @@ def _union_sets(g: OrientedGraph) -> tuple[tuple[frozenset[int], ...]]:
 # ---------------------------------------------------------------------------
 
 
-def parse_document(text: str) -> tuple[OrientedGraph, dict[str, int]]:
-    """Parse the edge-list format; returns the graph and any declared ports."""
+def read_edge_list(text: str, word: str, on_pair, on_other=None) -> int:
+    """Read the edge-list format in line order and return the vertex count.
+    Each 'a u v' line with both ends in range goes to on_pair(lineno, u, v),
+    named `word` ("arc" or "edge") in messages; any other line but 'n' goes
+    to on_other(lineno, parts, n), which returns False for a line it does not know."""
     n: int | None = None
-    arcs: list[Arc] = []
-    seen: set[Arc] = set()
-    ports: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -181,36 +181,51 @@ def parse_document(text: str) -> tuple[OrientedGraph, dict[str, int]]:
                 raise MalformedLine(f"line {lineno}: negative vertex count")
         elif parts[0] == "a" and len(parts) == 3:
             if n is None:
-                raise MalformedLine(f"line {lineno}: arc before vertex-count line")
+                raise MalformedLine(f"line {lineno}: {word} before vertex-count line")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise MalformedLine(f"line {lineno}: bad arc {line!r}")
+                raise MalformedLine(f"line {lineno}: bad {word} {line!r}")
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"line {lineno}: arc ({u}, {v}) outside 0..{n - 1}")
-            if (u, v) in seen:
-                raise DuplicateArc(f"line {lineno}: arc ({u}, {v}) listed twice")
-            if u != v and (v, u) in seen:
-                raise DigonViolation(f"line {lineno}: ({u}, {v}) closes a digon")
-            seen.add((u, v))
-            arcs.append((u, v))
-        elif parts[0] == "port" and len(parts) == 3:
-            if n is None:
-                raise MalformedLine(f"line {lineno}: port before vertex-count line")
-            name = parts[1]
-            try:
-                v = int(parts[2])
-            except ValueError:
-                raise MalformedLine(f"line {lineno}: bad port vertex {parts[2]!r}")
-            if not (0 <= v < n):
-                raise VertexOutOfRange(f"line {lineno}: port vertex {v} out of range")
-            if name in ports:
-                raise MalformedLine(f"line {lineno}: duplicate port {name!r}")
-            ports[name] = v
-        else:
+                raise VertexOutOfRange(f"line {lineno}: {word} ({u}, {v}) outside 0..{n - 1}")
+            on_pair(lineno, u, v)
+        elif on_other is None or not on_other(lineno, parts, n):
             raise MalformedLine(f"line {lineno}: unrecognised line {line!r}")
     if n is None:
         raise MalformedLine("missing vertex-count line 'n <count>'")
+    return n
+
+
+def parse_document(text: str) -> tuple[OrientedGraph, dict[str, int]]:
+    """Parse the edge-list format; returns the graph and any declared ports."""
+    arcs: set[Arc] = set()
+    ports: dict[str, int] = {}
+
+    def arc(lineno: int, u: int, v: int) -> None:
+        if (u, v) in arcs:
+            raise DuplicateArc(f"line {lineno}: arc ({u}, {v}) listed twice")
+        if u != v and (v, u) in arcs:
+            raise DigonViolation(f"line {lineno}: ({u}, {v}) closes a digon")
+        arcs.add((u, v))
+
+    def port(lineno: int, parts: list[str], n: int | None) -> bool:
+        if parts[0] != "port" or len(parts) != 3:
+            return False
+        if n is None:
+            raise MalformedLine(f"line {lineno}: port before vertex-count line")
+        name = parts[1]
+        try:
+            v = int(parts[2])
+        except ValueError:
+            raise MalformedLine(f"line {lineno}: bad port vertex {parts[2]!r}")
+        if not (0 <= v < n):
+            raise VertexOutOfRange(f"line {lineno}: port vertex {v} out of range")
+        if name in ports:
+            raise MalformedLine(f"line {lineno}: duplicate port {name!r}")
+        ports[name] = v
+        return True
+
+    n = read_edge_list(text, "arc", arc, port)
     return OrientedGraph(n, arcs), ports
 
 

@@ -1,13 +1,16 @@
-"""Reference filter: materialize every map V(g) -> V(t) and keep the valid ones.
+"""Reference filter: try every map V(g) -> V(t) in lexicographic order and
+keep the valid ones.
 
 This is the independent oracle the solver is checked against.  It shares no
-search machinery with the solver; validity is decided by direct table lookups
-over the full map table, vectorised with numpy so exhaustive batteries stay
-fast.  Intended for small instances only (the table has |V(t)|^|V(g)| rows).
+search machinery or constraint tables with the solver: it reads the arcs and
+the mode's neighbourhood sets directly, and tests each arc and each pair
+that must differ once both of its ends are coloured, so a failed test drops
+every map that extends the prefix.  Intended for small instances only (there
+are |V(t)|^|V(g)| maps).
 """
 from __future__ import annotations
 
-import numpy as np
+from itertools import chain, combinations
 
 from .catalog import Target
 from .digraph import Mode, OrientedGraph
@@ -18,35 +21,37 @@ MAX_TABLE = 4_000_000
 def naive_witnesses(g: OrientedGraph, t: Target, mode: Mode) -> list[tuple[int, ...]]:
     """All valid total colourings, lexicographically sorted."""
     n, tn = g.n, t.graph.n
-    if n == 0:
-        return [()]
-    if tn == 0:
-        return []
     if tn**n > MAX_TABLE:
         raise ValueError(f"map table {tn}^{n} too large for the naive filter")
 
-    rows = tn**n
-    maps = np.empty((rows, n), dtype=np.int64)
-    for v in range(n):
-        period = tn ** (n - 1 - v)
-        maps[:, v] = (np.arange(rows) // period) % tn
+    # the tests that become decidable when vertex v, the later end, is coloured
+    arcs = [[(a, b) for a, b in g.arcs if max(a, b) == v] for v in range(n)]
+    differ: list[set[int]] = [set() for _ in range(n)]
+    for members in chain.from_iterable(g.mode_sets(mode)):
+        for u, v in combinations(sorted(members), 2):
+            differ[v].add(u)
 
-    adj = np.zeros((tn, tn), dtype=bool)
-    for u, v in t.graph.arcs:
-        adj[u, v] = True
+    target_arcs = t.graph.arcs
+    colour = [0] * n
+    found: list[tuple[int, ...]] = []
 
-    keep = np.ones(rows, dtype=bool)
-    for u, v in sorted(g.arcs):
-        keep &= adj[maps[:, u], maps[:, v]]
-    seen: set[tuple[int, int]] = set()
-    for vertex_sets in zip(*g.mode_sets(mode)):
-        for members in vertex_sets:
-            ms = sorted(members)
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    pair = (ms[i], ms[j])
-                    if pair not in seen:
-                        seen.add(pair)
-                        keep &= maps[:, pair[0]] != maps[:, pair[1]]
+    def valid(v: int) -> bool:
+        for a, b in arcs[v]:
+            if (colour[a], colour[b]) not in target_arcs:
+                return False
+        for u in differ[v]:
+            if colour[u] == colour[v]:
+                return False
+        return True
 
-    return [tuple(int(c) for c in row) for row in maps[keep]]
+    def extend(v: int) -> None:
+        if v == n:
+            found.append(tuple(colour))
+            return
+        for c in range(tn):
+            colour[v] = c
+            if valid(v):
+                extend(v + 1)
+
+    extend(0)
+    return found

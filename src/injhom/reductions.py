@@ -32,7 +32,7 @@ from itertools import chain
 from typing import Mapping
 
 from .catalog import Target, named_target
-from .digraph import Mode, OrientedGraph, induced_subgraph
+from .digraph import Mode, OrientedGraph, induced_subgraph, read_edge_list
 from .errors import (
     DegreeTooHigh,
     DegreeTooLow,
@@ -96,44 +96,17 @@ class UndirectedGraph:
 
 def parse_undirected(text: str) -> UndirectedGraph:
     """Edge-list format read with undirected semantics ('a u v' is an edge)."""
-    n: int | None = None
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n" and len(parts) == 2:
-            if n is not None:
-                raise MalformedLine(f"line {lineno}: duplicate vertex-count line")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise MalformedLine(f"line {lineno}: bad vertex count {parts[1]!r}")
-            if n < 0:
-                raise MalformedLine(f"line {lineno}: negative vertex count")
-        elif parts[0] == "a" and len(parts) == 3:
-            if n is None:
-                raise MalformedLine(f"line {lineno}: edge before vertex-count line")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise MalformedLine(f"line {lineno}: bad edge {line!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                raise MalformedLine(f"line {lineno}: loop at {u} not allowed in a simple graph")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise DuplicateArc(f"line {lineno}: edge {e} listed twice")
-            seen.add(e)
-            edges.append(e)
-        else:
-            raise MalformedLine(f"line {lineno}: unrecognised line {line!r}")
-    if n is None:
-        raise MalformedLine("missing vertex-count line 'n <count>'")
-    return UndirectedGraph(n, edges)
+    edges: set[Edge] = set()
+
+    def edge(lineno: int, u: int, v: int) -> None:
+        if u == v:
+            raise MalformedLine(f"line {lineno}: loop at {u} not allowed in a simple graph")
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            raise DuplicateArc(f"line {lineno}: edge {e} listed twice")
+        edges.add(e)
+
+    return UndirectedGraph(read_edge_list(text, "edge", edge), edges)
 
 
 def orient_edges(g: UndirectedGraph) -> OrientedGraph:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -166,6 +167,49 @@ def test_canonical_form_stable():
     key = canonical_form(named_target("T5"))
     assert key == canonical_form(named_target("T5"))
     assert isinstance(key, bytes)
+
+
+# canonical_form bytes recorded when every relabelling was gathered and packed
+CANONICAL_BYTES = {
+    "C3": "b980", "TT3": "9b80", "T4": "9ce7", "T5": "9e78e380",
+    "loopless, not a tournament": "00610300", "loops on some vertices": "15a2",
+}
+OTHER_GRAPHS = {
+    "loopless, not a tournament": OrientedGraph(5, [(0, 1), (1, 2), (3, 2), (0, 3), (4, 0)]),
+    "loops on some vertices": OrientedGraph(4, [(0, 0), (2, 2), (0, 1), (1, 2), (3, 1), (2, 3)]),
+}
+
+
+def test_canonical_form_bytes_pinned():
+    graphs = {name: named_target(name).graph for name in ("C3", "TT3", "T4", "T5")}
+    got = {name: canonical_form(g).hex() for name, g in {**graphs, **OTHER_GRAPHS}.items()}
+    assert got == CANONICAL_BYTES
+
+
+def _random_digraph(rng, n):
+    # a density per graph, so sparse, dense and highly symmetric graphs all occur
+    p, loops = rng.random(), rng.random()
+    arcs = [(v, v) for v in range(n) if rng.random() < loops]
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return OrientedGraph(n, arcs)
+
+
+def test_canonical_form_and_automorphisms_match_brute_force():
+    rng = random.Random(16)
+    for _ in range(120):
+        g = _random_digraph(rng, rng.randint(0, 6))
+        perms = list(itertools.permutations(range(g.n)))
+        strings = ["".join("01"[(p[a], p[b]) in g.arcs] for a in range(g.n) for b in range(g.n))
+                   for p in perms]
+        least = min(strings) + "0" * (-g.n * g.n % 8)
+        packed = bytes(int(least[i:i + 8], 2) for i in range(0, len(least), 8))
+        assert canonical_form(g) == packed, g
+        auts = [p for p in perms if {(p[u], p[v]) for u, v in g.arcs} == g.arcs]
+        assert automorphisms(g) == tuple(auts), g
+        pi = rng.sample(range(g.n), g.n)
+        assert canonical_form(OrientedGraph(g.n, [(pi[u], pi[v]) for u, v in g.arcs])) == packed
 
 
 def test_canonical_form_bound():

@@ -143,6 +143,18 @@ def test_solve_rejects_a_vertex_fixed_to_two_colours(cycle_file, capsys):
     assert rc == 0 and "0=b" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("colour", ["a", "0"])
+def test_solve_rejects_a_fixed_colour_on_a_target_with_no_colours(tmp_path, capsys, colour):
+    one, empty = tmp_path / "one.graph", tmp_path / "empty.graph"
+    one.write_text("n 1\n")
+    empty.write_text("n 0\n")
+    rc = main(["solve", "--input", str(one), "--target", str(empty), "--mode", "in",
+               "--fixed", f"0={colour}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"colour {colour!r} given, but the target has no colours" in captured.err
+
+
 @pytest.mark.parametrize("mode", ["in", "ios", "iot"])
 def test_solve_two_vertex_target_witness_verifies(tmp_path, capsys, mode):
     path = tmp_path / "path.graph"

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import injhom
@@ -48,3 +49,16 @@ def test_no_assert_statements_in_package_modules():
         lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependency: every absolute import is stdlib
+    for path in sorted(Path(injhom.__file__).parent.glob("*.py")):
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+        outside = sorted(modules - sys.stdlib_module_names)
+        assert not outside, f"{path.name}: imports {outside} from outside the standard library"

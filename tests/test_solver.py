@@ -656,6 +656,18 @@ def test_a_mode_that_is_not_a_mode_raises(bad):
             call()
 
 
+def test_naive_filter_edge_cases_and_size_guard():
+    empty = Target(OrientedGraph(0))
+    assert naive_witnesses(OrientedGraph(0), empty, Mode.IN) == [()]
+    assert naive_witnesses(OrientedGraph(2), empty, Mode.IN) == []
+    assert naive_witnesses(OrientedGraph(0), T5, Mode.IOT) == [()]
+    # a loop maps only onto a looped colour; every named target is reflexive
+    one_loop = Target(OrientedGraph(2, [(0, 1), (1, 1)]))
+    assert naive_witnesses(OrientedGraph(1, [(0, 0)]), one_loop, Mode.IN) == [(1,)]
+    with pytest.raises(ValueError, match=r"^map table 5\^10 too large for the naive filter$"):
+        naive_witnesses(OrientedGraph(10), T5, Mode.IN)
+
+
 def _oracle_pigeonhole(g, t, mode):
     """The screen as it compared neighbourhood sizes of graph and target."""
     return any(
