@@ -33,6 +33,11 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 CANONICAL_MAX = 8
 
+# The largest n a TTn name may ask for.  TTn's n(n+1)/2 arcs are built at once,
+# so an unbounded name such as TT99999999 would exhaust memory instead of
+# failing; the paper's targets have at most five vertices.
+TT_MAX = 64
+
 
 def colour_letter(i: int) -> str:
     return _LETTERS[i] if 0 <= i < len(_LETTERS) else str(i)
@@ -48,7 +53,9 @@ def parse_colour(text: str, n: int) -> int:
     try:
         c = int(t)
     except ValueError:
-        raise ValueError(f"colour {text!r} is not a letter a..{_LETTERS[n - 1]} or an id")
+        raise ValueError(
+            f"colour {text!r} is not a letter a..{_LETTERS[min(n, len(_LETTERS)) - 1]} or an id"
+        )
     if not 0 <= c < n:
         raise ValueError(f"colour id {c} outside 0..{n - 1}")
     return c
@@ -164,8 +171,8 @@ def _named_target(key: str) -> Target:
     m = re.fullmatch(r"TT(\d+)", key)
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise ValueError("TTn needs n >= 1")
+        if not 1 <= n <= TT_MAX:
+            raise ValueError(f"TTn needs 1 <= n <= {TT_MAX}")
         return Target(
             _reflexive(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
             f"TT{n}",

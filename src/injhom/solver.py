@@ -429,23 +429,30 @@ def verify_colouring(
     colouring: Mapping[int, int] | Sequence[int],
     mode: Mode,
 ) -> tuple[bool, str | None]:
-    """Check a total colouring; on failure, report one violating arc or pair."""
+    """Check a total colouring; on failure, report one violating arc or pair:
+    the least arc, else the first clash in vertex order."""
     sets = g.mode_sets(mode)
     f = _as_total(g, colouring)
     tg = t.graph
     for c in f:
         if not 0 <= c < tg.n:
             return False, f"colour {c} outside target"
-    for u, v in sorted(g.arcs):
-        if not tg.has_arc(f[u], f[v]):
+    tarcs = tg.arcs
+    for u, v in g.arcs:
+        if (f[u], f[v]) not in tarcs:
+            u, v = min(a for a in g.arcs if (f[a[0]], f[a[1]]) not in tarcs)
             return False, (
                 f"arc ({u}, {v}) maps to ({f[u]}, {f[v]}), not an arc of the target"
             )
     labels = ("both",) if mode is Mode.IOT else ("in", "out")
+    colour = f.__getitem__
     for v in range(g.n):
         for label, members in zip(labels, sets):
+            s = members[v]
+            if len(s) < 2 or len(set(map(colour, s))) == len(s):
+                continue
             seen: dict[int, int] = {}
-            for x in sorted(members[v]):
+            for x in sorted(s):
                 if f[x] in seen:
                     return False, (
                         f"vertices {seen[f[x]]} and {x} in the {label}-neighbourhood "

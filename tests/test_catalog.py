@@ -5,6 +5,7 @@ import random
 import pytest
 
 from injhom.catalog import (
+    TT_MAX,
     Target,
     _enumerate_values,
     automorphisms,
@@ -68,6 +69,15 @@ def test_named_target_is_shared_per_name():
     assert named_target("T5").name == "T5"
     for bad in ("T9", "TT0"):
         with pytest.raises(ValueError):
+            named_target(bad)
+
+
+def test_named_tt_is_bounded():
+    big = named_target(f"TT{TT_MAX}")
+    assert big.graph.n == TT_MAX and big.graph.arc_count == TT_MAX * (TT_MAX + 1) // 2
+    # the bound is checked before any arc is built
+    for bad in (f"TT{TT_MAX + 1}", "TT99999999"):
+        with pytest.raises(ValueError, match=f"1 <= n <= {TT_MAX}"):
             named_target(bad)
 
 

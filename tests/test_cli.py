@@ -96,6 +96,20 @@ def test_solve_rejects_bad_limit_and_budget(tmp_path, capsys, flags):
     assert "limit" in captured.err or "budget" in captured.err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--target", "TT99999999"], "TTn needs 1 <= n <= 64"),
+    (["--target", "TT65"], "TTn needs 1 <= n <= 64"),
+    # past the 26 colour letters, a bad colour names the last letter
+    (["--target", "TT30", "--fixed", "0=zz"], "is not a letter a..z or an id"),
+])
+def test_solve_rejects_bad_named_target(tmp_path, capsys, flags, message):
+    one = tmp_path / "one.graph"
+    one.write_text("n 1\n")
+    rc = main(["solve", "--input", str(one), "--mode", "ios", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and message in captured.err
+
+
 def test_solve_enumerate_hx_shows_forced_d(capsys):
     hx = asset_dir() / "Hx.graph"
     rc = main([

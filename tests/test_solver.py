@@ -95,6 +95,47 @@ def test_verify_reports_arc_violation():
     assert not ok and "arc (0, 1)" in why
 
 
+def test_verify_reports_the_least_bad_arc_before_any_clash():
+    # both arcs leave C3 and the out-neighbours of 0 share a colour
+    g = OrientedGraph(3, [(0, 2), (0, 1)])
+    assert verify_colouring(g, C3, (0, 2, 2), Mode.IOS) == (
+        False, "arc (0, 1) maps to (0, 2), not an arc of the target"
+    )
+
+
+# sha256 prefix of every (ok, why) below, recorded while the checker still
+# sorted every arc and neighbourhood on each call: which violation it names
+# must not depend on how it finds one
+VERIFY_DIGEST = "3e5fa1685f1eee4a"
+
+
+def test_verify_names_the_same_violation():
+    rng = random.Random(2024)
+    tt2 = named_target("TT2")
+    outcomes = []
+    for _ in range(200):
+        # past 8 vertices a frozenset can iterate out of sorted order
+        n = rng.randrange(20)
+        p = rng.choice((0.05, 0.1, 0.3, 0.6))
+        arcs = []
+        for u in range(n):
+            for v in range(u, n):
+                r = rng.random()
+                if r < p / 2:
+                    arcs.append((u, v))
+                elif r < p and u != v:
+                    arcs.append((v, u))
+        g = OrientedGraph(n, arcs)
+        for t in (C3, T4, tt2):
+            for mode in MODES:
+                colours = t.graph.n + (rng.random() < 0.05)  # now and then one too many
+                f = [rng.randrange(colours) for _ in range(n)]
+                outcomes.append(verify_colouring(g, t, f, mode))
+    kinds = {why.split()[0] if why else "ok" for _, why in outcomes}
+    assert kinds == {"ok", "arc", "vertices", "colour"}
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] == VERIFY_DIGEST
+
+
 def test_verify_partial_rejected():
     with pytest.raises(PartialColouring):
         verify_colouring(THREE_CYCLE, C3, {0: 0, 1: 1}, Mode.IOS)
