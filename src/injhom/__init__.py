@@ -21,8 +21,6 @@ from .digraph import (
     Mode,
     MODES,
     OrientedGraph,
-    disjoint_union,
-    identify_vertices,
     induced_subgraph,
     is_strongly_connected,
     parse_graph,

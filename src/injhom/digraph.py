@@ -1,4 +1,4 @@
-"""Loop-aware oriented graphs and the surgery operations built on them.
+"""Loop-aware oriented graphs, their edge-list text format and a few helpers.
 
 An oriented graph is a directed graph in which two distinct vertices are
 joined by at most one arc (no digons); loops are permitted.  A loop at v
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DigonViolation,
     DuplicateArc,
     MalformedLine,
-    SelfMergeCycle,
     VertexOutOfRange,
 )
 
@@ -173,6 +172,13 @@ def _union_sets(g: OrientedGraph) -> tuple[tuple[frozenset[int], ...]]:
 #   port <name> <v>  (only gadget files carry ports)
 # ---------------------------------------------------------------------------
 
+# the largest vertex count a file may declare.  A graph holds two lists per
+# vertex while it is built, so a 12-byte file could otherwise ask for
+# gigabytes (`n 1000000` alone peaks at 177 MB of RSS).  2^20 is well above
+# the largest instance measured so far: 360 448 vertices, the ios-t4 instance
+# of a planted 8 192-vertex cubic source.
+MAX_VERTICES = 1 << 20
+
 
 def read_edge_list(text: str, word: str, on_pair, on_other=None) -> int:
     """Read the edge-list format in line order and return the vertex count.
@@ -194,6 +200,10 @@ def read_edge_list(text: str, word: str, on_pair, on_other=None) -> int:
                 raise MalformedLine(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise MalformedLine(f"line {lineno}: negative vertex count")
+            if n > MAX_VERTICES:
+                raise MalformedLine(
+                    f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}"
+                )
         elif parts[0] == "a" and len(parts) == 3:
             if n is None:
                 raise MalformedLine(f"line {lineno}: {word} before vertex-count line")
@@ -256,65 +266,6 @@ def serialize_graph(g: OrientedGraph, header: str | None = None) -> str:
     lines.append(f"n {g.n}")
     lines.extend(f"a {u} {v}" for u, v in sorted(g.arcs))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# surgery
-# ---------------------------------------------------------------------------
-
-
-def disjoint_union(gs: Sequence[OrientedGraph]) -> tuple[OrientedGraph, list[int]]:
-    """Disjoint union; returns the union and the vertex-id offset of each part."""
-    offsets: list[int] = []
-    total = 0
-    arcs: list[Arc] = []
-    for g in gs:
-        offsets.append(total)
-        arcs.extend((u + total, v + total) for u, v in g.arcs)
-        total += g.n
-    return OrientedGraph(total, arcs), offsets
-
-
-def identify_vertices(
-    g: OrientedGraph, pairs: Iterable[tuple[int, int]]
-) -> tuple[OrientedGraph, list[int]]:
-    """Merge each (keep, merge) pair, compact ids, and return the relabelling map.
-
-    Duplicate arcs created by a merge collapse silently (set semantics); a digon
-    created by a merge is an error.  The merge pairs must form a forest.
-    """
-    parent: dict[int, int] = {}
-
-    def root(x: int) -> int:
-        seen = []
-        while x in parent:
-            seen.append(x)
-            x = parent[x]
-            if x in seen:
-                raise SelfMergeCycle(f"merge pairs form a cycle through vertex {x}")
-        return x
-
-    for keep, merge in pairs:
-        g._check(keep)
-        g._check(merge)
-        rk, rm = root(keep), root(merge)
-        if rk == rm:
-            raise SelfMergeCycle(f"pair ({keep}, {merge}) merges a vertex with itself")
-        parent[rm] = rk
-
-    survivors = sorted(v for v in range(g.n) if v not in parent)
-    compact = {v: i for i, v in enumerate(survivors)}
-    relabel = [compact[root(v)] for v in range(g.n)]
-
-    arcs: set[Arc] = set()
-    for u, v in g.arcs:
-        a, b = relabel[u], relabel[v]
-        if a != b and (b, a) in arcs:
-            raise DigonViolation(
-                f"merging created a digon between {a} and {b} (from arc ({u}, {v}))"
-            )
-        arcs.add((a, b))
-    return OrientedGraph(len(survivors), arcs), relabel
 
 
 def induced_subgraph(

@@ -45,8 +45,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
-from .digraph import Mode, OrientedGraph, disjoint_union, identify_vertices, parse_document
-from .errors import AssetMissing, ContractMalformed, InvalidWitness, UnknownPort
+from .digraph import Mode, OrientedGraph, parse_document
+from .errors import AssetMissing, ContractMalformed, InvalidWitness, SelfMergeCycle, UnknownPort
 from .solver import decide, enumerate_colourings, verify_colouring
 
 ASSET_NAMES = ("Hx", "He", "Fx", "Fe", "Jv", "Dv")
@@ -187,22 +187,43 @@ def compose(
     specs: Sequence[GadgetSpec],
     identifications: Sequence[tuple[tuple[int, str], tuple[int, str]]] = (),
 ) -> tuple[OrientedGraph, ScopeMap]:
-    """Disjoint union of gadget copies, then identify ports pairwise.
+    """Copies of the gadgets with ports glued, laid out in one pass.
 
     Each identification ((i, port_a), (j, port_b)) merges port_b of copy j
-    into port_a of copy i.  The scope map sends (copy, original vertex) to
-    the vertex id in the composed graph.
+    into port_a of copy i.  Every vertex that is not a merged port takes the
+    next id, copy by copy and label by label; a merged port takes the id of
+    the port it is merged into.  The scope map sends (copy, original vertex)
+    to that id.  Arcs that a merge makes equal collapse into one; a merge
+    that makes a digon raises DigonViolation.  SelfMergeCycle rejects a port
+    merged into itself, a port merged twice and a port merged into a port
+    that is itself merged.
     """
-    union, offsets = disjoint_union([s.graph for s in specs])
-    pairs = []
+    into: dict[tuple[int, int], tuple[int, int]] = {}  # merged port -> the port it joins
     for (i, pa), (j, pb) in identifications:
-        pairs.append((offsets[i] + specs[i].port(pa), offsets[j] + specs[j].port(pb)))
-    merged, relabel = identify_vertices(union, pairs)
-    scope: ScopeMap = {}
+        keep, merge = (i, specs[i].port(pa)), (j, specs[j].port(pb))
+        if merge == keep or merge in into:
+            raise SelfMergeCycle(f"port {pb!r} of copy {j} is merged twice or into itself")
+        into[merge] = keep
+    for (j, v), (i, u) in into.items():
+        if (i, u) in into:
+            raise SelfMergeCycle(f"copy {j} vertex {v} is merged into copy {i} vertex {u}, "
+                                 "which is itself merged")
+    ids: list[list[int]] = []  # per copy, the id of each label
+    n = 0
     for i, spec in enumerate(specs):
+        row = []
         for v in range(spec.graph.n):
-            scope[(i, v)] = relabel[offsets[i] + v]
-    return merged, scope
+            if (i, v) in into:
+                row.append(-1)  # set below, once every kept port has its id
+            else:
+                row.append(n)
+                n += 1
+        ids.append(row)
+    for (j, v), (i, u) in into.items():
+        ids[j][v] = ids[i][u]
+    arcs = [(row[u], row[v]) for row, spec in zip(ids, specs) for u, v in spec.graph.arcs]
+    scope: ScopeMap = {(i, v): vid for i, row in enumerate(ids) for v, vid in enumerate(row)}
+    return OrientedGraph(n, arcs), scope
 
 
 Link = tuple[int, int, int, int, int]  # (layer a, label p, layer b, label q, step)

@@ -125,26 +125,24 @@ def three_edge_colouring_oracle(g: UndirectedGraph) -> dict[Edge, int] | None:
     if degree > 3:
         raise DegreeTooHigh(f"max degree {degree} > 3")
     edges = sorted(g.edges)
-    touching: list[list[int]] = [[] for _ in range(len(edges))]
+    # the earlier edges that share an end with each edge
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    touching: list[list[int]] = []
     for i, (u, v) in enumerate(edges):
-        for j in range(i):
-            a, b = edges[j]
-            if u in (a, b) or v in (a, b):
-                touching[i].append(j)
+        touching.append(incident[u] + incident[v])
+        incident[u].append(i)
+        incident[v].append(i)
+    # backtrack in a loop, not by recursion, so no edge count reaches the
+    # recursion limit; colours[:i] is the stack.  Edge i takes the next colour
+    # above its current one that no touching edge holds; with none left it is
+    # cleared and edge i - 1 moves on to its next colour
     colours = [0] * len(edges)
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return True
-        for c in EDGE_COLOURS:
-            if all(colours[j] != c for j in touching[i]):
-                colours[i] = c
-                if rec(i + 1):
-                    return True
-                colours[i] = 0
-        return False
-
-    if not rec(0):
+    i = 0
+    while 0 <= i < len(edges):
+        used = {colours[j] for j in touching[i]}
+        colours[i] = next((c for c in EDGE_COLOURS if c > colours[i] and c not in used), 0)
+        i += 1 if colours[i] else -1
+    if i < 0:
         return None
     return {e: colours[i] for i, e in enumerate(edges)}
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from injhom.cli import main
 from injhom.catalog import named_target
-from injhom.digraph import Mode, parse_graph
+from injhom.digraph import MAX_VERTICES, Mode, parse_graph
 from injhom.gadgets import asset_dir
 from injhom.poly import decide_small_target
 from injhom.reductions import UndirectedGraph, build_ios_t4, extract_edge_colouring, is_proper_edge_colouring
@@ -212,6 +213,28 @@ def test_oracle_k4(k4_file, capsys):
     assert capsys.readouterr().out.startswith("Sat")
 
 
+def test_oracle_long_path(tmp_path, capsys):
+    # from about 1 000 edges the recursive oracle hit the recursion limit and crashed
+    p = tmp_path / "path.graph"
+    p.write_text("\n".join(["n 1501"] + [f"a {i} {i + 1}" for i in range(1_500)]) + "\n")
+    assert main(["oracle", "--input", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "Sat" and len(out) == 1_501
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce", "oracle"])
+def test_vertex_count_past_the_limit_exit_two(tmp_path, capsys, command):
+    p = tmp_path / "huge.graph"
+    p.write_text(f"n {MAX_VERTICES + 1}\n")
+    argv = {
+        "solve": ["solve", "--target", "T4", "--mode", "ios"],
+        "reduce": ["reduce", "--kind", "ios-t4", "--output", str(tmp_path / "out.graph")],
+        "oracle": ["oracle"],
+    }[command]
+    assert main(argv + ["--input", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: vertex count")
+
+
 def test_reduce_k4_summary_and_roundtrip(k4_file, tmp_path, capsys):
     out = tmp_path / "inst.graph"
     rc = main([
@@ -273,6 +296,19 @@ def test_verify_gadget_single(capsys):
 
 def test_verify_gadget_lemma(capsys):
     assert main(["verify-gadget", "--lemma", "3.1"]) == 0
+
+
+# sha256 prefix of `verify-gadget --all`'s stdout, recorded while compose
+# still built a disjoint union and merged ports by union-find: the composed
+# vertex ids the edge lemmas print must not move
+VERIFY_ALL_DIGEST = "137c7484ee0c5a10"
+
+
+def test_verify_gadget_all_output_pinned(capsys):
+    assert main(["verify-gadget", "--all"]) == 0
+    out = capsys.readouterr().out
+    assert "  [pass] equal 9 41\n" in out  # lemma 3.2, squares s1 and s1
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_ALL_DIGEST
 
 
 def test_verify_gadget_corrupt_asset(tmp_path, monkeypatch, capsys):

@@ -6,9 +6,8 @@ import pytest
 
 from injhom.digraph import (
     Mode,
+    MAX_VERTICES,
     OrientedGraph,
-    disjoint_union,
-    identify_vertices,
     induced_subgraph,
     is_strongly_connected,
     parse_graph,
@@ -19,7 +18,6 @@ from injhom.errors import (
     DigonViolation,
     DuplicateArc,
     MalformedLine,
-    SelfMergeCycle,
     VertexOutOfRange,
 )
 
@@ -49,6 +47,9 @@ def test_parse_errors():
         parse_graph("n 2\na 0 5")
     with pytest.raises(DuplicateArc):
         parse_graph("n 2\na 0 1\na 0 1")
+    # a count past the limit is refused before any vertex is allocated
+    with pytest.raises(MalformedLine, match=f"^line 2: vertex count {MAX_VERTICES + 1} exceeds"):
+        parse_graph(f"# huge\nn {MAX_VERTICES + 1}\na 0 1")
 
 
 def test_parse_comments_and_ports_tolerated():
@@ -87,43 +88,6 @@ def test_mode_sets_loop_convention():
     assert both[0] == {0, 1}
     nin, nout = g.mode_sets(Mode.IOS)
     assert nin[0] == {0} and nout[0] == {0, 1}
-
-
-def test_disjoint_union_examples():
-    a = OrientedGraph(2, [(0, 1)])
-    u, offs = disjoint_union([a, a])
-    assert u.n == 4 and u.arcs == {(0, 1), (2, 3)} and offs == [0, 2]
-    empty, offs = disjoint_union([])
-    assert empty.n == 0 and offs == []
-    many, _ = disjoint_union([a] * 5)
-    assert many.n == 10 and many.arc_count == 5
-
-
-def test_identify_basic():
-    g = OrientedGraph(3, [(0, 1)])
-    merged, relabel = identify_vertices(g, [(1, 2)])
-    assert merged.n == 2 and merged.arcs == {(0, 1)}
-    assert relabel[1] == relabel[2]
-
-
-def test_identify_duplicate_collapse():
-    # x->u and x->w both exist; merging u into w leaves a single arc
-    g = OrientedGraph(3, [(0, 1), (0, 2)])
-    merged, _ = identify_vertices(g, [(2, 1)])
-    assert merged.n == 2 and merged.arc_count == 1
-
-
-def test_identify_digon_error():
-    # u->x and x->w: merging u into w creates both (w,x) and (x,w)
-    g = OrientedGraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(DigonViolation):
-        identify_vertices(g, [(2, 0)])
-
-
-def test_identify_cycle_error():
-    g = OrientedGraph(3, [])
-    with pytest.raises(SelfMergeCycle):
-        identify_vertices(g, [(0, 1), (1, 0)])
 
 
 def test_induced_subgraph_examples():
@@ -169,22 +133,6 @@ def test_property_serialize_parse_identity():
     for _ in range(200):
         g = _random_graph(rng, rng.randint(0, 8))
         assert parse_graph(serialize_graph(g)) == g
-
-
-def test_property_no_digon_survives_surgery():
-    rng = random.Random(43)
-    for _ in range(200):
-        g = _random_graph(rng, rng.randint(2, 7))
-        u, offs = disjoint_union([g, g])
-        assert u.n == 2 * g.n and u.arc_count == 2 * g.arc_count
-        keep, merge = rng.sample(range(u.n), 2)
-        try:
-            merged, relabel = identify_vertices(u, [(keep, merge)])
-        except DigonViolation:
-            continue
-        assert merged.n == u.n - 1
-        for a, b in merged.arcs:
-            assert a == b or (b, a) not in merged.arcs
 
 
 def test_property_loop_membership():

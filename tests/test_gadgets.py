@@ -1,15 +1,26 @@
 import dataclasses
+import random
 import shutil
+from collections import Counter
+from typing import Iterable, Sequence
 
 import pytest
 
 from injhom.catalog import named_target
-from injhom.digraph import Mode, OrientedGraph
-from injhom.errors import AssetMissing, ContractMalformed, InjhomError, UnknownPort
+from injhom.digraph import Arc, Mode, OrientedGraph, random_oriented_graph
+from injhom.errors import (
+    AssetMissing,
+    ContractMalformed,
+    DigonViolation,
+    InjhomError,
+    SelfMergeCycle,
+    UnknownPort,
+)
 from injhom.gadgets import (
     ALL_LEMMAS,
     ASSET_NAMES,
     Contract,
+    GadgetSpec,
     asset_dir,
     compose,
     lemma_reports,
@@ -129,6 +140,13 @@ def test_compose_plain_union():
     graph, scope = compose([he, he])
     assert graph.n == 20
     assert scope[(1, 0)] == 10
+    edge = _spec(2, [(0, 1)], {"p": 0})
+    assert compose([]) == (OrientedGraph(0), {})
+    graph, scope = compose([edge, edge])
+    assert graph == OrientedGraph(4, [(0, 1), (2, 3)])
+    assert scope == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+    graph, _ = compose([edge] * 5)
+    assert graph.n == 10 and graph.arc_count == 5
 
 
 def test_compose_identification_scope():
@@ -150,6 +168,156 @@ def test_compose_order_insensitive_up_to_relabelling():
     relabel = {s1[(0, v)]: s2[(1, v)] for v in range(he.graph.n)}
     relabel.update({s1[(1, v)]: s2[(0, v)] for v in range(hx.graph.n)})
     assert {(relabel[u], relabel[v]) for u, v in g1.arcs} == set(g2.arcs)
+
+
+# -- compose against the construction it replaced -----------------------------
+# Copied verbatim from digraph.py and gadgets.py as they were before compose
+# laid the copies out in one pass: a disjoint union, then a union-find merge
+# of the ports and a second build.  compose must give the same graph and scope.
+
+
+def disjoint_union(gs: Sequence[OrientedGraph]) -> tuple[OrientedGraph, list[int]]:
+    """Disjoint union; returns the union and the vertex-id offset of each part."""
+    offsets: list[int] = []
+    total = 0
+    arcs: list[Arc] = []
+    for g in gs:
+        offsets.append(total)
+        arcs.extend((u + total, v + total) for u, v in g.arcs)
+        total += g.n
+    return OrientedGraph(total, arcs), offsets
+
+
+def identify_vertices(
+    g: OrientedGraph, pairs: Iterable[tuple[int, int]]
+) -> tuple[OrientedGraph, list[int]]:
+    """Merge each (keep, merge) pair, compact ids, and return the relabelling map.
+
+    Duplicate arcs created by a merge collapse silently (set semantics); a digon
+    created by a merge is an error.  The merge pairs must form a forest.
+    """
+    parent: dict[int, int] = {}
+
+    def root(x: int) -> int:
+        seen = []
+        while x in parent:
+            seen.append(x)
+            x = parent[x]
+            if x in seen:
+                raise SelfMergeCycle(f"merge pairs form a cycle through vertex {x}")
+        return x
+
+    for keep, merge in pairs:
+        g._check(keep)
+        g._check(merge)
+        rk, rm = root(keep), root(merge)
+        if rk == rm:
+            raise SelfMergeCycle(f"pair ({keep}, {merge}) merges a vertex with itself")
+        parent[rm] = rk
+
+    survivors = sorted(v for v in range(g.n) if v not in parent)
+    compact = {v: i for i, v in enumerate(survivors)}
+    relabel = [compact[root(v)] for v in range(g.n)]
+
+    arcs: set[Arc] = set()
+    for u, v in g.arcs:
+        a, b = relabel[u], relabel[v]
+        if a != b and (b, a) in arcs:
+            raise DigonViolation(
+                f"merging created a digon between {a} and {b} (from arc ({u}, {v}))"
+            )
+        arcs.add((a, b))
+    return OrientedGraph(len(survivors), arcs), relabel
+
+
+def reference_compose(specs, identifications=()):
+    union, offsets = disjoint_union([s.graph for s in specs])
+    pairs = []
+    for (i, pa), (j, pb) in identifications:
+        pairs.append((offsets[i] + specs[i].port(pa), offsets[j] + specs[j].port(pb)))
+    merged, relabel = identify_vertices(union, pairs)
+    scope = {}
+    for i, spec in enumerate(specs):
+        for v in range(spec.graph.n):
+            scope[(i, v)] = relabel[offsets[i] + v]
+    return merged, scope
+
+
+def _spec(n, arcs, ports):
+    return GadgetSpec("G", OrientedGraph(n, arcs), ports, Contract("T4", Mode.IOS, None, ()))
+
+
+def _star_identifications(rng, specs):
+    """Random disjoint stars over the copies' ports: each leaf port merged into
+    its star's centre, so no port is merged twice or into a merged port."""
+    ports = [(i, p) for i, spec in enumerate(specs) for p in spec.ports]
+    rng.shuffle(ports)
+    del ports[rng.randint(0, len(ports)):]
+    out = []
+    while len(ports) >= 2:
+        centre, leaves = ports[0], ports[1:rng.randint(2, min(4, len(ports)))]
+        out += [(centre, leaf) for leaf in leaves]
+        del ports[:1 + len(leaves)]
+    rng.shuffle(out)
+    return out
+
+
+def test_compose_matches_union_then_identify():
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(200):
+        kinds = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 5)
+            g = random_oriented_graph(rng, n)
+            kinds.append(_spec(n, g.arcs, {f"p{k}": v for k, v in enumerate(
+                rng.sample(range(n), rng.randint(1, min(3, n))))}))
+        specs = [rng.choice(kinds) for _ in range(rng.randint(1, 4))]
+        identifications = _star_identifications(rng, specs)
+        try:
+            want = reference_compose(specs, identifications)
+        except DigonViolation:
+            with pytest.raises(DigonViolation):
+                compose(specs, identifications)
+            outcomes["digon"] += 1
+            continue
+        got = compose(specs, identifications)
+        assert got == want and list(got[1]) == list(want[1])  # scope key order too
+        arcs_in = sum(s.graph.arc_count for s in specs)
+        outcomes["collapsed" if want[0].arc_count < arcs_in else "distinct"] += 1
+        outcomes["merged"] += bool(identifications)
+    # every branch is exercised: plain unions and merges, duplicate arcs
+    # that collapse, and digons rejected on both sides
+    assert min(outcomes[k] for k in ("digon", "collapsed", "distinct", "merged")) >= 5, outcomes
+
+
+def test_compose_merges_collapse_duplicate_arcs_and_reject_digons():
+    # x->u and x->w: merging u into w leaves one arc
+    fork = _spec(3, [(0, 1), (0, 2)], {"u": 1, "w": 2})
+    graph, scope = compose([fork], [((0, "w"), (0, "u"))])
+    assert graph == OrientedGraph(2, [(0, 1)])
+    assert scope == {(0, 0): 0, (0, 1): 1, (0, 2): 1}
+    # u->x and x->w: merging u into w makes the digon w->x->w
+    path = _spec(3, [(0, 1), (1, 2)], {"u": 0, "w": 2})
+    with pytest.raises(DigonViolation):
+        compose([path], [((0, "w"), (0, "u"))])
+    # a port merged into a port of a later copy takes that port's id
+    graph, scope = compose([path, fork], [((1, "u"), (0, "w"))])
+    assert graph == OrientedGraph(5, [(0, 1), (1, 3), (2, 3), (2, 4)])
+    assert scope[(0, 2)] == scope[(1, 1)] == 3
+
+
+@pytest.mark.parametrize("identifications", [
+    pytest.param([((0, "p"), (0, "p"))], id="into-itself"),
+    pytest.param([((0, "p"), (1, "p")), ((2, "p"), (1, "p"))], id="twice"),
+    pytest.param([((0, "p"), (1, "p")), ((1, "p"), (2, "p"))], id="into-a-merged-port"),
+    pytest.param([((1, "p"), (2, "p")), ((0, "p"), (1, "p"))], id="into-a-merged-port-listed-first"),
+    pytest.param([((0, "p"), (1, "p")), ((1, "p"), (0, "p"))], id="cycle"),
+])
+def test_compose_rejects_chained_identifications(identifications):
+    edge = _spec(2, [(0, 1)], {"p": 0})
+    with pytest.raises(SelfMergeCycle):
+        compose([edge] * 3, identifications)
 
 
 def test_all_assets_pass_contracts():

@@ -13,9 +13,9 @@ def test_public_surface_pinned():
         "automorphisms", "build_ios_collapse", "build_ios_t4", "build_ios_t5",
         "build_iot_collapse", "build_iot_t4", "build_iot_t5", "canonical_form", "catalog",
         "collapse_target", "compose", "decide", "decide_small_target", "degree_profile",
-        "digraph", "disjoint_union", "enumerate_colourings", "enumerate_mod_aut",
+        "digraph", "enumerate_colourings", "enumerate_mod_aut",
         "enumerate_reflexive_tournaments", "errors", "extract_edge_colouring",
-        "extract_inner_colouring", "gadgets", "identify_vertices", "induced_subgraph",
+        "extract_inner_colouring", "gadgets", "induced_subgraph",
         "is_strongly_connected", "is_vertex_transitive", "lemma_reports", "lift_colouring",
         "load_gadget", "naive", "naive_witnesses", "named_target", "orient_edges",
         "parse_graph", "poly", "reductions", "serialize_graph", "serialize_target", "solver",

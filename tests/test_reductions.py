@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
+from injhom.acceptance import petersen_graph, subcubic_graphs_upto_iso
 from injhom.catalog import canonical_form, named_target
-from injhom.digraph import Mode, OrientedGraph
+from injhom.digraph import MAX_VERTICES, Mode, OrientedGraph
 from injhom.errors import (
     DegreeTooHigh,
     DegreeTooLow,
@@ -83,6 +85,8 @@ def test_parse_undirected():
     ("n 3\na 2 2", MalformedLine, "line 2: loop at 2 not allowed in a simple graph"),
     ("n 3\na 0 1\na 1 0", DuplicateArc, "line 3: edge (0, 1) listed twice"),
     ("a 0 1\nn 3", MalformedLine, "line 1: edge before vertex-count line"),
+    (f"# huge\nn {MAX_VERTICES + 1}", MalformedLine,
+     f"line 2: vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}"),
 ])
 def test_parse_undirected_errors(text, error, message):
     with pytest.raises(error) as err:
@@ -98,6 +102,28 @@ def test_oracle_k4_sat():
 def test_oracle_single_edge_first_colour():
     g = UndirectedGraph(2, [(0, 1)])
     assert three_edge_colouring_oracle(g) == {(0, 1): 1}  # colour b
+
+
+# sha256 prefix of the oracle's colourings (None where there is none) over
+# every subcubic graph on at most 6 vertices and the Petersen graph, recorded
+# while the oracle still recursed once per edge: the first colouring it finds
+# must not depend on how it backtracks
+ORACLE_DIGEST = "9f2965aea9a77cb6"
+
+
+def test_oracle_first_colourings_pinned():
+    graphs = [g for n in range(7) for g in subcubic_graphs_upto_iso(n)] + [petersen_graph()]
+    results = [three_edge_colouring_oracle(g) for g in graphs]
+    # no colouring: Petersen, and K4 with a subdivided edge, alone, with an
+    # isolated vertex and with a pendant edge
+    assert sum(r is None for r in results) == 4
+    assert hashlib.sha256(repr(results).encode()).hexdigest()[:16] == ORACLE_DIGEST
+
+
+def test_oracle_colours_a_path_longer_than_the_recursion_limit():
+    path = UndirectedGraph(1_501, [(i, i + 1) for i in range(1_500)])
+    colouring = three_edge_colouring_oracle(path)
+    assert colouring is not None and is_proper_edge_colouring(path, colouring)
 
 
 def test_oracle_degree_bound():
