@@ -221,6 +221,9 @@ GOLDEN_POLY_LARGE = {
     (10000, "in"): "77d6c15a14523bc7", (10000, "ios"): "0544114a7372b418",
     (10000, "iot"): "e82f1db9431c4e6f",
 }
+# the status of every result above, small graphs then large; pins the answers
+# alone, so it holds across any change to the witness rule
+GOLDEN_POLY_ANSWERS = "13ee10a8de6c5d81"
 GOLDEN_TWOSAT = "1da32a3c009acdb0"
 LARGE_SIZES = (1_000, 3_162, 10_000)
 
@@ -243,6 +246,19 @@ def test_pinned_small_target_planted_large_graphs():
             assert not unsat.sat
             got[n, mode.value] = _digest((repr(sat), repr(unsat)))
     assert got == GOLDEN_POLY_LARGE
+
+
+def test_pinned_small_target_answers():
+    small = [decide_small_target(g, t, mode).status
+             for g in _all_oriented(4) for t in (TT1, TT2) for mode in MODES]
+    large = []
+    for n in LARGE_SIZES:
+        for mode in MODES:
+            rng = random.Random(n + len(mode.value))
+            g = _planted_tt2(rng, n, mode)
+            large.append(decide_small_target(g, TT2, mode).status)
+            large.append(decide_small_target(_overloaded(rng, g), TT2, mode).status)
+    assert _digest((small, large)) == GOLDEN_POLY_ANSWERS
 
 
 def _random_twosat(rng, nvars):
