@@ -23,7 +23,7 @@ from .catalog import (
     parse_colour,
 )
 from .digraph import Mode, is_strongly_connected, parse_graph, serialize_graph
-from .errors import InjhomError
+from .errors import BudgetExhausted, InjhomError
 from .gadgets import ALL_LEMMAS, ASSET_NAMES, lemma_reports, load_gadget, verify_gadget
 from .poly import decide_small_target
 from .reductions import (
@@ -207,7 +207,11 @@ def cmd_catalog(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = parse_undirected(Path(args.input).read_text())
-    colouring = three_edge_colouring_oracle(g)
+    try:
+        colouring = three_edge_colouring_oracle(g, node_budget=args.budget)
+    except BudgetExhausted:
+        print("BudgetExhausted")
+        return 2
     if colouring is None:
         print("Unsat")
         return 1
@@ -273,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="3-edge-colour a subcubic graph")
     o.add_argument("--input", required=True)
+    o.add_argument("--budget", type=int, help="search node budget")
     o.set_defaults(fn=cmd_oracle)
 
     k = sub.add_parser("selfcheck", help="run the acceptance criteria")

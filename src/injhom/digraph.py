@@ -134,6 +134,13 @@ class OrientedGraph:
             return self._memoised(_union_sets)
         raise ValueError(f"mode {mode!r} is not a Mode (Mode.IN, Mode.IOS or Mode.IOT)")
 
+    def mirrored_mode_sets(self, mode: Mode) -> tuple[tuple[tuple, tuple], ...]:
+        """Each family of mode_sets(mode) with its mirror: v is in sets[w] iff
+        w is in mirror[v].  In-sets mirror out-sets; the iot union mirrors
+        itself."""
+        sets = self.mode_sets(mode)
+        return tuple(zip(sets, sets if mode is Mode.IOT else (self._nout, self._nin)))
+
     def _memoised(self, build, *args):
         """build(self, *args), computed once per graph: the graph never changes.
 

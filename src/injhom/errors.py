@@ -70,6 +70,10 @@ class TemplateNotFound(InjhomError):
     pass
 
 
+class BudgetExhausted(InjhomError):
+    """The 3-edge-colouring oracle used its node budget without an answer."""
+
+
 # gadget lab
 class AssetMissing(InjhomError):
     pass

@@ -34,6 +34,7 @@ from typing import Mapping
 from .catalog import Target, named_target
 from .digraph import Mode, OrientedGraph, induced_subgraph, read_edge_list
 from .errors import (
+    BudgetExhausted,
     DegreeTooHigh,
     DegreeTooLow,
     DuplicateArc,
@@ -45,7 +46,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .gadgets import GadgetSpec, Link, compose, load_gadget, ring, ring_links
-from .solver import decide, verify_colouring
+from .solver import _check_bounds, decide, verify_colouring
 
 Edge = tuple[int, int]
 
@@ -119,8 +120,14 @@ def orient_edges(g: UndirectedGraph) -> OrientedGraph:
 # ---------------------------------------------------------------------------
 
 
-def three_edge_colouring_oracle(g: UndirectedGraph) -> dict[Edge, int] | None:
-    """A proper 3-edge-colouring with colours {b, c, d} = {1, 2, 3}, or None."""
+def three_edge_colouring_oracle(
+    g: UndirectedGraph, node_budget: int | None = None
+) -> dict[Edge, int] | None:
+    """A proper 3-edge-colouring with colours {b, c, d} = {1, 2, 3}, or None.
+
+    A node is one edge given a colour; past node_budget nodes (None: no
+    limit) the search raises BudgetExhausted."""
+    _check_bounds(None, node_budget)
     degree = g.max_degree()
     if degree > 3:
         raise DegreeTooHigh(f"max degree {degree} > 3")
@@ -137,11 +144,18 @@ def three_edge_colouring_oracle(g: UndirectedGraph) -> dict[Edge, int] | None:
     # above its current one that no touching edge holds; with none left it is
     # cleared and edge i - 1 moves on to its next colour
     colours = [0] * len(edges)
+    nodes = 0
     i = 0
     while 0 <= i < len(edges):
         used = {colours[j] for j in touching[i]}
         colours[i] = next((c for c in EDGE_COLOURS if c > colours[i] and c not in used), 0)
-        i += 1 if colours[i] else -1
+        if not colours[i]:
+            i -= 1
+            continue
+        if nodes == node_budget:
+            raise BudgetExhausted(f"no 3-edge-colouring found within {node_budget} nodes")
+        nodes += 1
+        i += 1
     if i < 0:
         return None
     return {e: colours[i] for i, e in enumerate(edges)}

@@ -87,9 +87,7 @@ class SolveResult:
 def _instance_table(g: OrientedGraph, mode: Mode) -> tuple[tuple, tuple, tuple]:
     """The instance's half: (sizes, loops, pairs), as the module docstring says."""
     nin, nout = g.mode_sets(Mode.IOS)
-    sets = g.mode_sets(mode)
-    # v is in w's in-set iff w is in v's out-set; the union mirrors itself
-    families = tuple(zip(sets, sets if mode is Mode.IOT else (nout, nin)))
+    families = g.mirrored_mode_sets(mode)
     pairs = []
     for v in range(g.n):
         partners: set[int] = set()
@@ -103,7 +101,7 @@ def _instance_table(g: OrientedGraph, mode: Mode) -> tuple[tuple, tuple, tuple]:
             nb[u] = nb.get(u, 0) | 2
         nb.pop(v, None)
         pairs.append(tuple(sorted(nb.items())))
-    sizes = tuple(tuple(map(len, s)) for s in sets)
+    sizes = tuple(tuple(map(len, s)) for s, _ in families)
     loops = tuple(v in out for v, out in enumerate(nout))
     return sizes, loops, tuple(pairs)
 

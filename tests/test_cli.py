@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,31 @@ def test_oracle_long_path(tmp_path, capsys):
     assert main(["oracle", "--input", str(p)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "Sat" and len(out) == 1_501
+
+
+def test_oracle_budget_stops_a_hard_cubic_graph(tmp_path, capsys):
+    # three random perfect matchings on 800 vertices: 3-edge-colourable, but
+    # the unbudgeted oracle had not answered after 70 s
+    rng, m = random.Random(8), 800
+    edges = set()
+    for _ in range(3):
+        while True:
+            perm = rng.sample(range(m), m)
+            matching = {tuple(sorted(perm[i:i + 2])) for i in range(0, m, 2)}
+            if not matching & edges:
+                break
+        edges |= matching
+    p = tmp_path / "cubic.graph"
+    p.write_text("\n".join([f"n {m}"] + [f"a {u} {v}" for u, v in sorted(edges)]) + "\n")
+    assert main(["oracle", "--input", str(p), "--budget", "100000"]) == 2
+    assert capsys.readouterr().out == "BudgetExhausted\n"
+
+
+def test_oracle_budget_flag(k4_file, capsys):
+    assert main(["oracle", "--input", str(k4_file), "--budget", "6"]) == 0
+    assert capsys.readouterr().out.startswith("Sat")
+    assert main(["oracle", "--input", str(k4_file), "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: node budget -1 is negative\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "reduce", "oracle"])

@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 from injhom.digraph import (
-    Mode,
     MAX_VERTICES,
+    MODES,
+    Mode,
     OrientedGraph,
     induced_subgraph,
     is_strongly_connected,
@@ -167,6 +168,12 @@ def test_property_neighbourhoods_match_arcs():
             assert g.mode_sets(Mode.IOS)[1][v] == nout
             assert g.mode_sets(Mode.IOT)[0][v] == nin | nout
             assert all(type(s) is frozenset for s in (g.in_set(v), g.out_set(v), g.both_set(v)))
+        for mode in MODES:
+            families = g.mirrored_mode_sets(mode)
+            assert tuple(sets for sets, _ in families) == g.mode_sets(mode)
+            for sets, mirror in families:
+                assert {(v, w) for w in range(g.n) for v in sets[w]} == {
+                    (v, w) for v in range(g.n) for w in mirror[v]}
 
 
 def test_empty_neighbourhoods_are_one_object():

@@ -9,6 +9,7 @@ from injhom.acceptance import petersen_graph, subcubic_graphs_upto_iso
 from injhom.catalog import canonical_form, named_target
 from injhom.digraph import MAX_VERTICES, Mode, OrientedGraph
 from injhom.errors import (
+    BudgetExhausted,
     DegreeTooHigh,
     DegreeTooLow,
     DuplicateArc,
@@ -130,6 +131,21 @@ def test_oracle_degree_bound():
     star = UndirectedGraph(5, [(0, i) for i in range(1, 5)])
     with pytest.raises(DegreeTooHigh):
         three_edge_colouring_oracle(star)
+
+
+def test_oracle_budget_keeps_the_colouring():
+    for g in (K4, petersen_graph()):
+        want = three_edge_colouring_oracle(g)
+        assert three_edge_colouring_oracle(g, node_budget=100_000) == want
+    # K4 needs one node per edge and no backtracking
+    assert three_edge_colouring_oracle(K4, node_budget=6) == three_edge_colouring_oracle(K4)
+    with pytest.raises(BudgetExhausted, match=r"^no 3-edge-colouring found within 5 nodes$"):
+        three_edge_colouring_oracle(K4, node_budget=5)
+    with pytest.raises(BudgetExhausted):
+        three_edge_colouring_oracle(K4, node_budget=0)
+    assert three_edge_colouring_oracle(UndirectedGraph(3, []), node_budget=0) == {}
+    with pytest.raises(InjhomError, match=r"^node budget -1 is negative$"):
+        three_edge_colouring_oracle(K4, node_budget=-1)
 
 
 def test_max_degree_of_a_star():
