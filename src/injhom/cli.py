@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .digraph import Mode, is_strongly_connected, parse_graph, serialize_graph
 from .errors import BudgetExhausted, InjhomError
-from .gadgets import ALL_LEMMAS, ASSET_NAMES, lemma_reports, load_gadget, verify_gadget
+from .gadgets import ALL_LEMMAS, contract_reports, lemma_reports, load_gadget, verify_gadget
 from .poly import decide_small_target
 from .reductions import (
     build_ios_collapse,
@@ -36,7 +36,13 @@ from .reductions import (
     parse_undirected,
     three_edge_colouring_oracle,
 )
-from .solver import _check_bounds, decide, enumerate_colourings, enumerate_mod_aut
+from .solver import (
+    BUDGET_EXHAUSTED,
+    _check_bounds,
+    decide,
+    enumerate_colourings,
+    enumerate_mod_aut,
+)
 
 _NAMED = re.compile(r"C3|T4|T5|TT\d+")
 
@@ -80,7 +86,7 @@ def cmd_solve(args) -> int:
     else:
         res = decide(g, target, mode, fixed=fixed, node_budget=args.budget)
 
-    if res.status == "budget_exhausted":
+    if res.status == BUDGET_EXHAUSTED:
         print("BudgetExhausted")
         return 2
     if not res.sat:
@@ -148,16 +154,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify_gadget(args) -> int:
-    reports = []
     if args.all:
-        for lemma in ALL_LEMMAS:
-            reports.extend(lemma_reports(lemma))
-        for name in ASSET_NAMES:
-            reports.append(verify_gadget(load_gadget(name)))
+        reports = [report for _, report in contract_reports()]
     elif args.lemma:
-        reports.extend(lemma_reports(args.lemma))
+        reports = lemma_reports(args.lemma)
     elif args.gadget:
-        reports.append(verify_gadget(load_gadget(args.gadget)))
+        reports = [verify_gadget(load_gadget(args.gadget))]
     else:
         raise InjhomError("need --gadget NAME, --lemma ID or --all")
     ok = True
@@ -169,6 +171,11 @@ def cmd_verify_gadget(args) -> int:
     return 0 if ok else 1
 
 
+def _strict_arcs(t: Target) -> str:
+    strict = sorted((u, v) for u, v in t.graph.arcs if u != v)
+    return " ".join(f"{colour_letter(u)}{colour_letter(v)}" for u, v in strict)
+
+
 def cmd_catalog(args) -> int:
     if args.list:
         m = re.fullmatch(r"n=(\d+)", args.list)
@@ -178,17 +185,13 @@ def cmd_catalog(args) -> int:
         targets = enumerate_reflexive_tournaments(n)
         print(f"{len(targets)} reflexive tournaments on {n} vertices")
         for i, t in enumerate(targets):
-            strict = sorted((u, v) for u, v in t.graph.arcs if u != v)
-            arcs = " ".join(f"{colour_letter(u)}{colour_letter(v)}" for u, v in strict)
-            print(f"{i}: {arcs}")
+            print(f"{i}: {_strict_arcs(t)}")
         return 0
     name = args.show or args.aut
     t = named_target(name)
     if args.show:
-        strict = sorted((u, v) for u, v in t.graph.arcs if u != v)
         print(f"{t.name}: {t.graph.n} vertices, reflexive tournament")
-        print("strict arcs: " + " ".join(
-            f"{colour_letter(u)}{colour_letter(v)}" for u, v in strict))
+        print(f"strict arcs: {_strict_arcs(t)}")
         prof = degree_profile(t)
         degs = " ".join(
             f"{colour_letter(v)}:({prof.in_degrees[v]},{prof.out_degrees[v]})"

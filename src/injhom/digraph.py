@@ -119,10 +119,6 @@ class OrientedGraph:
         self._check(v)
         return self._nout[v]
 
-    def both_set(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return self.mode_sets(Mode.IOT)[0][v]
-
     def mode_sets(self, mode: Mode) -> tuple[tuple[frozenset[int], ...], ...]:
         """The neighbourhood sets whose members must take distinct colours: one
         tuple per set (in, out, or their union), each indexed by vertex."""

@@ -442,6 +442,15 @@ def lemma_reports(lemma: str) -> list[VerificationReport]:
     raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(ALL_LEMMAS)}")
 
 
+def contract_reports() -> list[tuple[str, VerificationReport]]:
+    """Every contract check: each lemma's reports, then each asset's own,
+    labelled "lemma ID / subject" and "asset NAME"."""
+    out = [(f"lemma {lemma} / {report.subject}", report)
+           for lemma in ALL_LEMMAS for report in lemma_reports(lemma)]
+    out += [(f"asset {name}", verify_gadget(load_gadget(name))) for name in ASSET_NAMES]
+    return out
+
+
 def _edge_lemma(edge_name, vertex_name, ends, mode) -> list[VerificationReport]:
     edge = load_gadget(edge_name)
     vertex = load_gadget(vertex_name)

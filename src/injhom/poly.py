@@ -23,7 +23,12 @@ in which the arcs were given.
 An implication is one neighbour or partner looked at: the in-neighbours of a
 vertex taking p or the out-neighbours of one taking q, and each mode set the
 vertex belongs to.  `SolveResult.propagations` counts them on both sides,
-abandoned sides included.  A committed vertex is never read again; an arc is
+abandoned sides included.  Status and witness are functions of the graph, but
+the count is not quite: a side that conflicts stops where it meets the
+conflict, and where that is follows the iteration order of the neighbourhood
+frozensets, which for equal graphs built from reordered arcs can differ.
+Making it a function of the graph would cost a sort on every graph build or a
+bound that no longer counts abandoned sides.  A committed vertex is never read again; an arc is
 read as a neighbour from at most one committed end, and a vertex belongs to
 at most two mode sets per arc (one in mode in).  The losing side of a start
 looks at no more than twice the winner's implications plus F.  So a
@@ -95,10 +100,6 @@ def twosat_solve(ins: TwoSatInstance) -> list[bool] | None:
             continue
         index[root] = low[root] = counter
         counter += 1
-        if not adj[root]:
-            comp[root] = comp_count
-            comp_count += 1
-            continue
         scc_stack.append(root)
         work = [(root, iter(adj[root]))]
         while work:
@@ -107,13 +108,9 @@ def twosat_solve(ins: TwoSatInstance) -> list[bool] | None:
                 if index[u] == -1:
                     index[u] = low[u] = counter
                     counter += 1
-                    if adj[u]:
-                        scc_stack.append(u)
-                        work.append((u, iter(adj[u])))
-                        break
-                    # no out-arcs: its own component at once, as Tarjan would
-                    comp[u] = comp_count
-                    comp_count += 1
+                    scc_stack.append(u)
+                    work.append((u, iter(adj[u])))
+                    break
                 elif comp[u] == -1 and index[u] < low[v]:
                     low[v] = index[u]
             else:

@@ -75,6 +75,9 @@ class SolveResult:
     status: str
     witnesses: list[Witness] = field(default_factory=list)
     nodes: int = 0
+    # the search's propagations, or the 2-colour decider's implications; the
+    # decider's count can differ between equal graphs built from reordered
+    # arcs (see the injhom.poly docstring)
     propagations: int = 0
     complete: bool = True
     orbits: int | None = None

@@ -10,53 +10,11 @@ import pytest
 from injhom import acceptance
 
 
-def _run(result):
+@pytest.mark.parametrize("number", acceptance.CRITERIA)
+def test_criterion(number):
+    result = acceptance.run_criterion(number, acceptance.DEFAULT_SEED, False)
     print(result.line())
     assert result.passed, result.detail
-
-
-def test_criterion_01_catalog_counts():
-    _run(acceptance.criterion_1())
-
-
-def test_criterion_02_uniqueness_facts():
-    _run(acceptance.criterion_2())
-
-
-def test_criterion_03_t5_automorphisms():
-    _run(acceptance.criterion_3())
-
-
-def test_criterion_04_solver_oracle_equivalence():
-    _run(acceptance.criterion_4())
-
-
-def test_criterion_05_mode_monotonicity():
-    _run(acceptance.criterion_5())
-
-
-def test_criterion_06_gadget_contracts():
-    _run(acceptance.criterion_6())
-
-
-def test_criterion_07_edge_colouring_reduction():
-    _run(acceptance.criterion_7(quick=False))
-
-
-def test_criterion_08_c3_lift_reduction():
-    _run(acceptance.criterion_8())
-
-
-def test_criterion_09_collapse_reduction():
-    _run(acceptance.criterion_9())
-
-
-def test_criterion_10_poly_decider_agreement():
-    _run(acceptance.criterion_10())
-
-
-def test_criterion_11_projection_lift_round_trips():
-    _run(acceptance.criterion_11())
 
 
 def test_subcubic_graphs_upto_iso_pinned():

@@ -78,7 +78,7 @@ def test_neighbourhood_directions():
     assert g.in_set(1) == {0}
     g2 = OrientedGraph(2, [(0, 0), (0, 1)])
     assert g2.out_set(0) == {0, 1}
-    assert g2.both_set(0) == {0, 1}
+    assert g2.mode_sets(Mode.IOT)[0][0] == {0, 1}
     with pytest.raises(VertexOutOfRange):
         g.in_set(5)
 
@@ -163,11 +163,11 @@ def test_property_neighbourhoods_match_arcs():
             nin = {u for u, w in arcs if w == v}
             nout = {w for u, w in arcs if u == v}
             assert g.in_set(v) == nin and g.out_set(v) == nout
-            assert g.both_set(v) == nin | nout
             assert g.mode_sets(Mode.IOS)[0][v] == nin
             assert g.mode_sets(Mode.IOS)[1][v] == nout
-            assert g.mode_sets(Mode.IOT)[0][v] == nin | nout
-            assert all(type(s) is frozenset for s in (g.in_set(v), g.out_set(v), g.both_set(v)))
+            both = g.mode_sets(Mode.IOT)[0][v]
+            assert both == nin | nout
+            assert all(type(s) is frozenset for s in (g.in_set(v), g.out_set(v), both))
         for mode in MODES:
             families = g.mirrored_mode_sets(mode)
             assert tuple(sets for sets, _ in families) == g.mode_sets(mode)
@@ -184,12 +184,13 @@ def test_empty_neighbourhoods_are_one_object():
         s
         for g in graphs
         for v in range(g.n)
-        for s in (g.in_set(v), g.out_set(v), g.both_set(v))
+        for s in (g.in_set(v), g.out_set(v), g.mode_sets(Mode.IOT)[0][v])
         if not s
     ]
     assert empties and len({id(s) for s in empties}) == 1
     path = OrientedGraph(3, [(0, 1), (1, 2)])
-    assert path.both_set(0) is path.out_set(0) and path.both_set(2) is path.in_set(2)
+    (both,) = path.mode_sets(Mode.IOT)
+    assert both[0] is path.out_set(0) and both[2] is path.in_set(2)
 
 
 def _retained_bytes(build):

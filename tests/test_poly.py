@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 from itertools import chain, combinations
@@ -13,6 +12,8 @@ from injhom.errors import TargetTooLarge
 from injhom.naive import naive_witnesses
 from injhom.poly import FIRST_ROUND, TwoSatInstance, decide_small_target, twosat_solve
 from injhom.solver import decide, pigeonhole_unsat, verify_colouring
+
+from helpers import all_oriented, digest
 
 TT1 = named_target("TT1")
 TT2 = named_target("TT2")
@@ -165,21 +166,6 @@ def test_small_target_scales_along_a_size_ladder():
 # digest pins only the statuses, recorded under the earlier Tarjan decider.
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
-def _all_oriented(max_n):
-    """Every oriented graph on 0..max_n vertices, loops included."""
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for loops in range(1 << n):
-            for code in itertools.product(range(3), repeat=len(pairs)):
-                arcs = [(v, v) for v in range(n) if loops >> v & 1]
-                arcs += [(u, v) if k == 1 else (v, u) for (u, v), k in zip(pairs, code) if k]
-                yield OrientedGraph(n, arcs)
-
-
 def _planted_tt2(rng, n, mode):
     """A loopless graph of about n arcs grown around a random TT2 colouring
     that stays a `mode`-injective homomorphism (linear time)."""
@@ -241,8 +227,8 @@ def _checked(g, t, mode):
 
 def test_pinned_small_target_all_small_graphs():
     results = [repr(_checked(g, t, mode))
-               for g in _all_oriented(4) for t in (TT1, TT2) for mode in MODES]
-    assert _digest(results) == GOLDEN_POLY_SMALL
+               for g in all_oriented(4) for t in (TT1, TT2) for mode in MODES]
+    assert digest(results) == GOLDEN_POLY_SMALL
 
 
 def test_pinned_small_target_planted_large_graphs():
@@ -255,13 +241,13 @@ def test_pinned_small_target_planted_large_graphs():
             assert sat.sat
             unsat = decide_small_target(_overloaded(rng, g), TT2, mode)
             assert not unsat.sat
-            got[n, mode.value] = _digest((repr(sat), repr(unsat)))
+            got[n, mode.value] = digest((repr(sat), repr(unsat)))
     assert got == GOLDEN_POLY_LARGE
 
 
 def test_pinned_small_target_answers():
     small = [decide_small_target(g, t, mode).status
-             for g in _all_oriented(4) for t in (TT1, TT2) for mode in MODES]
+             for g in all_oriented(4) for t in (TT1, TT2) for mode in MODES]
     large = []
     for n in LARGE_SIZES:
         for mode in MODES:
@@ -269,7 +255,7 @@ def test_pinned_small_target_answers():
             g = _planted_tt2(rng, n, mode)
             large.append(decide_small_target(g, TT2, mode).status)
             large.append(decide_small_target(_overloaded(rng, g), TT2, mode).status)
-    assert _digest((small, large)) == GOLDEN_POLY_ANSWERS
+    assert digest((small, large)) == GOLDEN_POLY_ANSWERS
 
 
 def _random_twosat(rng, nvars):
@@ -284,7 +270,7 @@ def test_pinned_twosat_assignments():
     rng = random.Random(2024)
     got = [twosat_solve(_random_twosat(rng, rng.randint(1, 40))) for _ in range(600)]
     assert sum(a is not None for a in got) > 100  # both answers well represented
-    assert _digest(got) == GOLDEN_TWOSAT
+    assert digest(got) == GOLDEN_TWOSAT
 
 
 # -- cross-check against the clause encoding ----------------------------------

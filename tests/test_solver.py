@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 
@@ -32,6 +31,8 @@ from injhom.solver import (
     pigeonhole_unsat,
     verify_colouring,
 )
+
+from helpers import all_oriented, digest
 
 C3 = named_target("C3")
 TT3 = named_target("TT3")
@@ -133,7 +134,7 @@ def test_verify_names_the_same_violation():
                 outcomes.append(verify_colouring(g, t, f, mode))
     kinds = {why.split()[0] if why else "ok" for _, why in outcomes}
     assert kinds == {"ok", "arc", "vertices", "colour"}
-    assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] == VERIFY_DIGEST
+    assert digest(outcomes) == VERIFY_DIGEST
 
 
 def test_verify_partial_rejected():
@@ -247,7 +248,7 @@ def test_collapse_lift_with_a_thousand_fixed_vertices():
     ri, base = _lift_case("ios-collapse", 140, 7)
     assert ri.graph.n == 980  # the lift fixes every instance vertex
     full = lift_colouring(ri, base)
-    assert _digest(full) == "7ee4e817ea1baf5d"
+    assert digest(full) == "7ee4e817ea1baf5d"
 
 
 def test_decide_budget_exhaustion():
@@ -409,7 +410,7 @@ def test_mod_aut_is_the_lex_least_orbit_representatives():
     # vertices; acceptance criterion 4 checks C3, TT3, T4 and T5 on the same graphs
     targets = (LOOPS3, TWO_ARCS)
     auts = {t.name: _brute_automorphisms(t.graph) for t in targets}
-    for g in _all_oriented(4):
+    for g in all_oriented(4):
         for t in targets:
             for mode in MODES:
                 full = enumerate_colourings(g, t, mode).witnesses
@@ -453,21 +454,6 @@ def test_decide_past_the_automorphism_bound():
 # rule: it must not move for targets with a trivial group.
 
 
-def _all_oriented(max_n):
-    """Every oriented graph on 0..max_n vertices, loops included."""
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for loops in range(1 << n):
-            for code in itertools.product(range(3), repeat=len(pairs)):
-                arcs = [(v, v) for v in range(n) if loops >> v & 1]
-                arcs += [(u, v) if k == 1 else (v, u) for (u, v), k in zip(pairs, code) if k]
-                yield OrientedGraph(n, arcs)
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
 def _search_profile(graphs, targets=(C3, TT3, T4, T5)):
     """Summed decide/enumerate counts and a digest of every answer, in order."""
     totals = {"decide_nodes": 0, "decide_props": 0, "enum_nodes": 0, "enum_props": 0}
@@ -482,7 +468,7 @@ def _search_profile(graphs, targets=(C3, TT3, T4, T5)):
                 totals["enum_nodes"] += e.nodes
                 totals["enum_props"] += e.propagations
                 answers.append((d.status, d.witnesses, e.status, e.witnesses))
-    totals["answers"] = _digest(answers)
+    totals["answers"] = digest(answers)
     return totals
 
 
@@ -518,11 +504,11 @@ GOLDEN_LIFT = {
 
 
 def test_pinned_search_all_small_graphs():
-    assert _search_profile(_all_oriented(3)) == GOLDEN_SMALL
+    assert _search_profile(all_oriented(3)) == GOLDEN_SMALL
 
 
 def test_pinned_search_trivial_group_targets():
-    assert _search_profile(_all_oriented(3), (TT3, T4)) == GOLDEN_TRIVIAL_GROUP
+    assert _search_profile(all_oriented(3), (TT3, T4)) == GOLDEN_TRIVIAL_GROUP
 
 
 def test_pinned_search_seeded_six_vertex_graphs():
@@ -609,7 +595,7 @@ def _check_compile(rng, graphs, targets):
 
 
 def test_compile_matches_global_tables_on_all_small_graphs():
-    fixings = _check_compile(random.Random(9), _all_oriented(4), (C3, TT3, T4, T5, LOOPY))
+    fixings = _check_compile(random.Random(9), all_oriented(4), (C3, TT3, T4, T5, LOOPY))
     assert fixings > 150_000  # most cases get a non-empty fixing
 
 
@@ -721,7 +707,7 @@ def test_pigeonhole_matches_size_comparison_on_all_small_graphs():
     targets = [named_target(name) for name in ("C3", "TT1", "TT2", "TT3", "T4", "T5")]
     targets += [LOOPY, Target(OrientedGraph(0), "empty")]
     screened = 0
-    for g in _all_oriented(4):
+    for g in all_oriented(4):
         for t in targets:
             for mode in MODES:
                 want = _oracle_pigeonhole(g, t, mode)
@@ -781,5 +767,5 @@ def test_pinned_lift_per_reduction_kind():
     got = {}
     for kind, (n, seed) in LIFT_CASES.items():
         ri, base = _lift_case(kind, n, seed)
-        got[kind] = (ri.graph.n, _digest(lift_colouring(ri, base)))
+        got[kind] = (ri.graph.n, digest(lift_colouring(ri, base)))
     assert got == GOLDEN_LIFT
