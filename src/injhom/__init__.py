@@ -36,7 +36,7 @@ from .gadgets import (
     verify_gadget,
 )
 from .naive import naive_witnesses
-from .poly import TwoSatInstance, decide_small_target, twosat_solve
+from .poly import decide_small_target
 from .reductions import (
     ReductionInstance,
     UndirectedGraph,
@@ -50,7 +50,6 @@ from .reductions import (
     extract_edge_colouring,
     extract_inner_colouring,
     lift_colouring,
-    orient_edges,
     three_edge_colouring_oracle,
 )
 from .solver import (

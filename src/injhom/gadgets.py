@@ -30,6 +30,13 @@ INJHOM_ASSET_DIR on every call, but returns the spec parsed on the first call
 for that directory, shared by every build (so a spec is read-only).  An asset
 edited on disk is picked up by a new process.
 
+The chain gadgets Jv and Dv (lemmas 3.4 and 4.5) state their forced chain
+in their contracts: the anchor and the `forced` facts (`Contract.chain`).
+What a contract cannot say, the ring lemma, the ring wiring and the anchor
+of the t5 builder, is in one table, `CHAIN_GADGETS`; the ring lemma check,
+the t5 builders and the lift read the chain, the mode and the attach port
+from the loaded spec.
+
 When a contract carries an anchor, the witness set is enumerated with the
 anchor fixed.  That is the `enumerate modulo automorphisms` semantics for the
 vertex-transitive targets the anchored lemmas use, at a fifth of the cost;
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
 from .digraph import Mode, OrientedGraph, parse_document
@@ -60,6 +67,12 @@ class Contract:
     mode: Mode
     anchor: tuple[int, int] | None
     facts: tuple[Fact, ...]
+
+    def chain(self) -> dict[int, int]:
+        """The anchor and the forced facts as label -> colour, anchor first."""
+        chain = dict([self.anchor]) if self.anchor else {}
+        chain.update((fact[1], fact[2]) for fact in self.facts if fact[0] == "forced")
+        return chain
 
 
 @dataclass(frozen=True)
@@ -257,14 +270,30 @@ def ring(
     return OrientedGraph(total, arcs), starts
 
 
-# the chain gadgets' ring wiring: each copy's out ports feed the next copy's in0
-RING_OUT_PORTS = {"Jv": ("out17", "out18", "out19"), "Dv": ("out8",)}
+class ChainGadget(NamedTuple):
+    """What a chain gadget's contract does not say: the ring lemma it realizes,
+    the out ports that feed the next copy's in0 port, and the label and colour
+    at which the t5 builder anchors its instance."""
+
+    lemma: str
+    out_ports: tuple[str, ...]
+    anchor_label: int
+    anchor_colour: int
+
+
+# the chain gadgets of the t5 reductions.  The rest is read from the loaded
+# spec: the chain and the mode from its contract, the free label from its
+# attach port
+CHAIN_GADGETS = {
+    "Jv": ChainGadget("3.4", ("out17", "out18", "out19"), 8, 0),  # anchor 8 at a
+    "Dv": ChainGadget("4.5", ("out8",), 0, 3),  # anchor 0 at d
+}
 
 
 def ring_links(spec: GadgetSpec) -> list[Link]:
     """The links of a ring of `spec` copies in layer 1."""
     into = spec.port("in0")
-    return [(1, spec.port(p), 1, into, 1) for p in RING_OUT_PORTS[spec.name]]
+    return [(1, spec.port(p), 1, into, 1) for p in CHAIN_GADGETS[spec.name].out_ports]
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +435,6 @@ def verify_gadget(spec: GadgetSpec) -> VerificationReport:
 # the lemma registry: which compositions realize which forced-colouring lemma
 # ---------------------------------------------------------------------------
 
-ALL_LEMMAS = ("3.1", "3.2", "3.4", "4.1", "4.2", "4.3", "4.5")
-
 # lemmas that are one asset's own contract
 _ASSET_LEMMAS = {"3.1": "Hx", "4.1": "Fx", "4.2": "Fe"}
 
@@ -420,15 +447,13 @@ _EDGE_LEMMAS = {
 }
 _SQUARES = ("s1", "s2", "s3")
 
-# ring lemmas, checked on rings (wired by `ring_links`) of 2 and 3 copies with
-# vertex 0 of copy 0 as the anchor.  lemma -> (gadget, mode, the forced chain
-# of every copy as label -> colour with the anchor label 0 first, and the
-# `extends` pre-colouring: a pinned (label, colour) plus the label that takes
-# each of a, b, c in turn)
-_RING_LEMMAS = {
-    "3.4": ("Jv", Mode.IOS, {0: 0, 4: 2, 8: 4, 12: 1, 16: 3}, (8, 0), 11),  # a; c, e, b, d
-    "4.5": ("Dv", Mode.IOT, {0: 3, 4: 0, 8: 2}, (0, 3), 5),  # d, a, c
-}
+# ring lemmas: lemma -> chain gadget, checked by `_ring_lemma`
+_RING_LEMMAS = {chain.lemma: name for name, chain in CHAIN_GADGETS.items()}
+
+ALL_LEMMAS = tuple(sorted(
+    [*_ASSET_LEMMAS, *_EDGE_LEMMAS, *_RING_LEMMAS],
+    key=lambda lemma: tuple(map(int, lemma.split("."))),
+))
 
 
 def lemma_reports(lemma: str) -> list[VerificationReport]:
@@ -438,7 +463,7 @@ def lemma_reports(lemma: str) -> list[VerificationReport]:
     if lemma in _EDGE_LEMMAS:
         return _edge_lemma(*_EDGE_LEMMAS[lemma])
     if lemma in _RING_LEMMAS:
-        return _ring_lemma(*_RING_LEMMAS[lemma])
+        return _ring_lemma(load_gadget(_RING_LEMMAS[lemma]))
     raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(ALL_LEMMAS)}")
 
 
@@ -472,19 +497,28 @@ def _edge_lemma(edge_name, vertex_name, ends, mode) -> list[VerificationReport]:
     return out
 
 
-def _ring_lemma(name, mode, chain, pinned, free) -> list[VerificationReport]:
-    spec = load_gadget(name)
+def _ring_lemma(spec: GadgetSpec) -> list[VerificationReport]:
+    """Rings of 2 and 3 copies (wired by `ring_links`), anchored at copy 0's
+    contract anchor: every copy's chain is forced, and with the builder's
+    anchor fixed, copy 0's attach port can take each of a, b and c."""
+    chain = spec.contract.chain()
+    anchor_label, anchor_colour = spec.contract.anchor
+    gadget = CHAIN_GADGETS[spec.name]
+    free = spec.port("attach")
     out = []
     for copies in (2, 3):
         graph, starts = ring(OrientedGraph(0), [spec.graph], copies, ring_links(spec))
         first = starts[1][0]
         facts: list[Fact] = [("nonempty",)]
         for i, off in enumerate(starts[1]):
-            facts.extend(("forced", off + v, c) for v, c in chain.items() if i > 0 or v > 0)
-        # forward-direction pre-colourings: with the pinned vertex fixed, the
-        # free vertex of copy 0 can take each of a, b and c
+            facts.extend(
+                ("forced", off + v, c) for v, c in chain.items() if i > 0 or v != anchor_label
+            )
         for c in (0, 1, 2):
-            facts.append(("extends", {first + pinned[0]: pinned[1], first + free: c}))
-        contract = Contract("T5", mode, (first, chain[0]), tuple(facts))
-        out.append(verify_contract(graph, contract, subject=f"{name[0]}_{copies}"))
+            facts.append(
+                ("extends", {first + gadget.anchor_label: gadget.anchor_colour, first + free: c})
+            )
+        contract = Contract(spec.contract.target, spec.contract.mode,
+                            (first + anchor_label, anchor_colour), tuple(facts))
+        out.append(verify_contract(graph, contract, subject=f"{spec.name[0]}_{copies}"))
     return out

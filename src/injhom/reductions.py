@@ -23,6 +23,16 @@ from each copy to its successor and to the source vertex it stands for).
 Rings on fewer than two source vertices are padded with isolated dummy
 vertices: a one-copy ring would close an arc pair into a digon, and an
 isolated dummy is always colourable, so padding preserves the yes/no answer.
+
+A lift fixes what the source solution determines and searches the rest.  The
+t4 kinds fix both ports of every edge gadget at the edge's colour.  The t5
+and collapse kinds fix the source images and, in every ring copy, the labels
+of `copy_colours`: for the t5 kinds that is the chain of the ring lemma
+(3.4 for Jv, 4.5 for Dv), read from the gadget's contract and rotated by the
+T5 automorphism that sends it to the builder's anchor (`gadgets.CHAIN_GADGETS`);
+for the collapse kinds every label at itself, and every x-vertex at the
+pivot.  The chains leave the t5 search almost nothing to branch on; every
+lift checks its witness.
 """
 from __future__ import annotations
 
@@ -45,7 +55,7 @@ from .errors import (
     TemplateNotFound,
     VertexOutOfRange,
 )
-from .gadgets import GadgetSpec, Link, compose, load_gadget, ring, ring_links
+from .gadgets import CHAIN_GADGETS, GadgetSpec, Link, compose, load_gadget, ring, ring_links
 from .solver import _check_bounds, decide, verify_colouring
 
 Edge = tuple[int, int]
@@ -108,11 +118,6 @@ def parse_undirected(text: str) -> UndirectedGraph:
         edges.add(e)
 
     return UndirectedGraph(read_edge_list(text, "edge", edge), edges)
-
-
-def orient_edges(g: UndirectedGraph) -> OrientedGraph:
-    """The fixed arbitrary orientation: every edge {u, v} becomes min -> max."""
-    return OrientedGraph(g.n, sorted(g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +209,18 @@ class ReductionInstance:
     anchor_vertex: int | None = None
     anchor_colour: int | None = None
     # collapse kinds: the pivot, its neighbourhood direction and the map from
-    # target colours to collapsed ids.  The ring copies are copies of the
-    # target, so a lift pins each at its own labels (`pin_copies`) and every
-    # x-vertex (collapse-ios only) at the pivot.
+    # target colours to collapsed ids; a lift fixes every x-vertex
+    # (collapse-ios only) at the pivot
     pivot: int | None = None
     direction: str | None = None
     collapse_map: dict[int, int] = field(default_factory=dict)
     x_vertices: dict[int, int] = field(default_factory=dict)
-    pin_copies: bool = False
+    # t5 and collapse kinds: label -> colour, fixed in every ring copy (the
+    # vertex and star gadgets) by a lift.  t5 kinds: the chain gadget's forced
+    # chain, rotated to the anchor.  Collapse kinds: every label at itself, as
+    # the copies are target copies; that is a choice, not an implied fact.
+    # Either way it covers the anchor
+    copy_colours: Mapping[int, int] = field(default_factory=dict)
 
     def map_lines(self) -> list[str]:
         """Deterministic key=value bookkeeping lines for the .map sidecar."""
@@ -266,7 +275,8 @@ def _build_t4(
     degree = g.max_degree()
     if degree > 3:
         raise DegreeTooHigh(f"max degree {degree} > 3")
-    arcs = sorted(orient_edges(g).arcs)
+    # the fixed orientation: every edge {u, v}, stored as (min, max), is min -> max
+    arcs = sorted(g.edges)
     # degree <= 3, so no vertex runs out of squares
     free_squares = [iter(("s1", "s2", "s3")) for _ in range(g.n)]
     squares_used: dict[Edge, tuple[str, str]] = {}
@@ -347,27 +357,29 @@ def _ring_instance(
     )
 
 
-def _build_t5(
-    g: OrientedGraph, kind: str, mode: Mode, spec: GadgetSpec,
-    anchor_label: int, anchor_colour: int,
-) -> ReductionInstance:
-    """A ring of `spec` copies, copy i attached to source vertex i."""
+def _build_t5(g: OrientedGraph, kind: str, name: str) -> ReductionInstance:
+    """A ring of copies of the chain gadget `name`, copy i attached to source
+    vertex i, anchored as `CHAIN_GADGETS` says; the mode and the chain come
+    from the gadget's contract."""
+    spec, gadget = load_gadget(name), CHAIN_GADGETS[name]
+    target = named_target(spec.contract.target)
+    chain = spec.contract.chain()
+    pi = _normalizing_automorphism(target, chain[gadget.anchor_label], gadget.anchor_colour)
     links = ring_links(spec) + [(1, spec.port("attach"), 0, 0, 0)]
     return _ring_instance(
-        kind, mode, g, named_target("T5"), {"vertex_gadget": spec.graph}, links,
-        anchor_label, anchor_colour,
+        kind, spec.contract.mode, g, target, {"vertex_gadget": spec.graph}, links,
+        gadget.anchor_label, gadget.anchor_colour,
         source_target=named_target("C3"), embedding=C3_EMBEDDING,
+        copy_colours={v: pi[c] for v, c in chain.items()},
     )
 
 
 def build_ios_t5(g: OrientedGraph) -> ReductionInstance:
-    # vertex 8 of every copy is forced (up to automorphism) to colour a
-    return _build_t5(g, "ios-t5", Mode.IOS, load_gadget("Jv"), anchor_label=8, anchor_colour=0)
+    return _build_t5(g, "ios-t5", "Jv")
 
 
 def build_iot_t5(g: OrientedGraph) -> ReductionInstance:
-    # vertex 0 of every copy is forced (up to automorphism) to colour d
-    return _build_t5(g, "iot-t5", Mode.IOT, load_gadget("Dv"), anchor_label=0, anchor_colour=3)
+    return _build_t5(g, "iot-t5", "Dv")
 
 
 # -- collapse reductions -----------------------------------------------------
@@ -406,7 +418,8 @@ def _collapse_fields(t: Target, v: int, direction: str) -> dict:
     collapsed, cmap = collapse_target(t, v, direction)
     return dict(
         source_target=collapsed, embedding={cid: c for c, cid in cmap.items()},
-        pivot=v, direction=direction, collapse_map=cmap, pin_copies=True,
+        pivot=v, direction=direction, collapse_map=cmap,
+        copy_colours={c: c for c in range(t.graph.n)},
     )
 
 
@@ -506,18 +519,15 @@ def _edge_fixing(ri: ReductionInstance, base) -> dict[int, int]:
 
 def _vertex_fixing(ri: ReductionInstance, base) -> dict[int, int]:
     """t5 and collapse kinds: the embedded base on the source images, the
-    anchor and, where the ring copies are target copies, the copies and the
-    x-vertices."""
+    `copy_colours` of every ring copy and the x-vertices."""
     ok, why = verify_colouring(ri.source, ri.source_target, base, ri.mode)
     if not ok:
         raise ValueError(
             f"base is not a valid {ri.source_target.name} colouring of the source: {why}"
         )
     fixed = {vid: ri.embedding[base[u]] for u, vid in ri.inner.items()}
-    fixed[ri.anchor_vertex] = ri.anchor_colour
-    if ri.pin_copies:
-        for labels in (*ri.vertex_gadget.values(), *ri.star_gadget.values()):
-            fixed.update((vid, lbl) for lbl, vid in labels.items())
+    for labels in (*ri.vertex_gadget.values(), *ri.star_gadget.values()):
+        fixed.update((labels[lbl], c) for lbl, c in ri.copy_colours.items())
     fixed.update(dict.fromkeys(ri.x_vertices.values(), ri.pivot))
     return fixed
 

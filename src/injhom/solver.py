@@ -320,23 +320,10 @@ def decide(
     if not eng.fixed and g.n and t.n <= CANONICAL_MAX:
         root = max(range(g.n), key=lambda v: len(eng.cons[v]))
         eng.dom0[root] &= t.root_symmetry().roots
-    witnesses = []
-    for w in eng.run(static_order=False, node_budget=node_budget):
-        witnesses.append(w)
-        break
-    if witnesses:
-        status = SAT
-    elif eng.exhausted:
-        status = BUDGET_EXHAUSTED
-    else:
-        status = UNSAT
-    return SolveResult(
-        status=status,
-        witnesses=witnesses,
-        nodes=eng.nodes,
-        propagations=eng.propagations,
-        complete=not eng.exhausted,
-    )
+    first = next(eng.run(static_order=False, node_budget=node_budget), None)
+    # the search stops at its first witness, so it never holds one together
+    # with an exhausted budget
+    return _result(eng, [] if first is None else [first])
 
 
 def enumerate_colourings(
@@ -404,6 +391,12 @@ def _collect(eng: _Engine, limit, node_budget, keep) -> SolveResult:
         if limit is not None and len(witnesses) >= limit:
             truncated = True
             break
+    return _result(eng, witnesses, truncated)
+
+
+def _result(eng: _Engine, witnesses: list[Witness], truncated: bool = False) -> SolveResult:
+    """The one status rule: an exhausted budget, else sat iff a witness was
+    found.  The result is complete unless the budget or a limit cut the run."""
     if eng.exhausted:
         status = BUDGET_EXHAUSTED
     elif witnesses:

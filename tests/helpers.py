@@ -3,6 +3,7 @@ import hashlib
 import itertools
 
 from injhom.digraph import OrientedGraph
+from injhom.solver import verify_colouring
 
 
 def all_oriented(max_n):
@@ -21,3 +22,20 @@ def all_oriented(max_n):
 
 def digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def planted(rng, n, target, mode):
+    """A loopless graph grown arc by arc around a random colouring that stays
+    valid, and that colouring; a graph on fewer than 2 vertices has no arc."""
+    col = [rng.randrange(target.n) for _ in range(n)]
+    arcs: list[tuple[int, int]] = []
+    for _ in range(2 * n if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) in arcs or (v, u) in arcs:
+            continue
+        if not target.graph.has_arc(col[u], col[v]):
+            u, v = v, u
+        trial = arcs + [(u, v)]
+        if verify_colouring(OrientedGraph(n, trial), target, col, mode)[0]:
+            arcs = trial
+    return OrientedGraph(n, arcs), dict(enumerate(col))

@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injhom.digraph import (
     MAX_VERTICES,
@@ -11,6 +13,7 @@ from injhom.digraph import (
     OrientedGraph,
     induced_subgraph,
     is_strongly_connected,
+    parse_document,
     parse_graph,
     serialize_graph,
 )
@@ -18,9 +21,12 @@ from injhom.catalog import named_target
 from injhom.errors import (
     DigonViolation,
     DuplicateArc,
+    InjhomError,
     MalformedLine,
     VertexOutOfRange,
 )
+from injhom.gadgets import parse_contract
+from injhom.reductions import parse_undirected
 
 
 def test_parse_simple_arc():
@@ -210,3 +216,56 @@ def test_neighbourhood_storage_size():
     assert _retained_bytes(lambda: OrientedGraph(10_000)) < 1_000_000
     path = OrientedGraph(10_000, [(v, v + 1) for v in range(0, 9_999, 3)])
     assert _retained_bytes(lambda: path.mode_sets(Mode.IOT)) < 500_000
+
+
+# -- every parser on arbitrary text -------------------------------------------
+
+# graph and contract documents: mostly a good header, then well-formed lines
+# on four vertices, so that loops, duplicates and digons come up, then a line
+# or two that may be out of range, misplaced or token soup
+_JUNK = st.lists(st.sampled_from([
+    "a", "n", "port", "range", "-1", "1048577", "99999999999999999999", "1.5", "x", "b",
+    "z", "b,c,d", "1=b,1=c", "0=", "=", ",", "T5", "ios", "#",
+]), max_size=4).map(" ".join)
+_VERTEX = st.integers(0, 3)
+_COLOUR = st.sampled_from("abez")
+
+
+def _document(header, bad_headers, line, extra):
+    return st.builds(
+        lambda header, lines, extras: "\n".join([header, *lines, *extras]),
+        st.one_of(st.just(header), st.sampled_from(bad_headers)),
+        st.lists(line, max_size=8),
+        st.lists(st.one_of(extra, _JUNK), max_size=2),
+    )
+
+
+_GRAPHS = _document(
+    "n 4", ["n 0", "n -1", "n 1048577", "n x", ""],
+    st.builds("a {} {}".format, _VERTEX, _VERTEX),
+    st.one_of(
+        st.builds("a {} {}".format, st.sampled_from([-1, 4]), _VERTEX),
+        st.builds("port {} {}".format, st.sampled_from(["in0", "x"]), st.integers(-1, 4)),
+        st.just("n 4"),
+    ),
+)
+_CONTRACTS = _document(
+    "target T5\nmode ios", ["target C3\nmode iot", "mode in\ntarget T4", "target TT99", ""],
+    st.one_of(
+        st.builds("{} {} {}".format, st.sampled_from(["forced", "range", "anchor"]), _VERTEX,
+                  st.one_of(_COLOUR, st.just("b,c"))),
+        st.builds("equal {} {}".format, _VERTEX, _VERTEX),
+        st.builds("extends {}={},{}={}".format, _VERTEX, _COLOUR, _VERTEX, _COLOUR),
+    ),
+    st.sampled_from(["nonempty", "mode x", "target T4", "forced -1 a"]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_GRAPHS, _CONTRACTS, st.text(max_size=60)))
+def test_parsers_return_or_raise_a_package_error(text):
+    for parse in (parse_document, parse_undirected, parse_contract):
+        try:
+            parse(text)
+        except InjhomError:
+            pass

@@ -10,10 +10,11 @@ from injhom.catalog import named_target
 from injhom.digraph import MODES, Mode, OrientedGraph
 from injhom.errors import TargetTooLarge
 from injhom.naive import naive_witnesses
-from injhom.poly import FIRST_ROUND, TwoSatInstance, decide_small_target, twosat_solve
+from injhom.poly import FIRST_ROUND, decide_small_target
 from injhom.solver import decide, pigeonhole_unsat, verify_colouring
 
 from helpers import all_oriented, digest
+from twosat_reference import TwoSatInstance, twosat_solve
 
 TT1 = named_target("TT1")
 TT2 = named_target("TT2")

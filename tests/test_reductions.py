@@ -34,12 +34,14 @@ from injhom.reductions import (
     extract_edge_colouring,
     extract_inner_colouring,
     is_proper_edge_colouring,
+    _vertex_fixing,
     lift_colouring,
-    orient_edges,
     parse_undirected,
     three_edge_colouring_oracle,
 )
 from injhom.solver import decide, enumerate_colourings, verify_colouring
+
+from helpers import planted
 
 K3 = UndirectedGraph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = UndirectedGraph(4, list(itertools.combinations(range(4), 2)))
@@ -63,12 +65,6 @@ def _random_oriented(rng, n):
 
 
 # -- plumbing ----------------------------------------------------------------
-
-
-def test_orient_edges():
-    assert orient_edges(UndirectedGraph(2, [(1, 0)])).arcs == {(0, 1)}
-    assert orient_edges(K3).arcs == {(0, 1), (0, 2), (1, 2)}
-    assert orient_edges(UndirectedGraph(0)).arcs == frozenset()
 
 
 def test_parse_undirected():
@@ -328,6 +324,35 @@ def test_t5_lift_and_extract_round_trip():
         ok, why = verify_colouring(ri.graph, ri.target, full, ri.mode)
         assert ok, why
         assert extract_inner_colouring(ri, full) == base
+
+
+def test_t5_chains_rotated_to_the_builder_anchor():
+    # Jv's chain a, c, e, b, d at labels 0, 4, 8, 12, 16, rotated so that the
+    # anchor label 8 takes a; Dv's d, a, c at 0, 4, 8 already has 0 at d
+    cycle = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    ri = build_ios_t5(cycle)
+    assert ri.copy_colours == {0: 1, 4: 3, 8: 0, 12: 2, 16: 4}
+    assert build_iot_t5(cycle).copy_colours == {0: 3, 4: 0, 8: 2}
+    fixed = _vertex_fixing(ri, {0: 0, 1: 1, 2: 2})
+    assert fixed[ri.anchor_vertex] == ri.anchor_colour
+    assert all(fixed[labels[8]] == 0 for labels in ri.vertex_gadget.values())
+
+
+@pytest.mark.parametrize("build, mode", [(build_ios_t5, Mode.IOS), (build_iot_t5, Mode.IOT)])
+def test_t5_lift_fixings_on_every_ring_length(build, mode):
+    # with every copy's chain fixed, the lift's search is nearly backtrack
+    # free on rings of 2 to 40 copies; the budget, linear in the instance,
+    # makes a fixing that leaves the search to backtrack fail fast
+    rng = random.Random(40)
+    for n in range(41):
+        for _ in range(3):
+            g, base = planted(rng, n, C3, mode)
+            ri = build(g)
+            res = decide(ri.graph, ri.target, ri.mode, fixed=_vertex_fixing(ri, base),
+                         node_budget=10 * ri.graph.n + 100)
+            assert res.sat, (n, res.status, res.nodes)
+            assert verify_colouring(ri.graph, ri.target, res.witnesses[0], ri.mode)[0]
+            assert extract_inner_colouring(ri, res.witnesses[0]) == base
 
 
 def test_t5_extract_lands_in_c3():

@@ -32,7 +32,7 @@ from injhom.solver import (
     verify_colouring,
 )
 
-from helpers import all_oriented, digest
+from helpers import all_oriented, digest, planted
 
 C3 = named_target("C3")
 TT3 = named_target("TT3")
@@ -716,22 +716,6 @@ def test_pigeonhole_matches_size_comparison_on_all_small_graphs():
     assert 0 < screened < 11_895 * len(targets) * len(MODES)
 
 
-def _planted(rng, n, target, mode):
-    """A loopless graph grown arc by arc around a random colouring that stays valid."""
-    col = [rng.randrange(target.n) for _ in range(n)]
-    arcs: list[tuple[int, int]] = []
-    for _ in range(2 * n):
-        u, v = rng.sample(range(n), 2)
-        if (u, v) in arcs or (v, u) in arcs:
-            continue
-        if not target.graph.has_arc(col[u], col[v]):
-            u, v = v, u
-        trial = arcs + [(u, v)]
-        if verify_colouring(OrientedGraph(n, trial), target, col, mode)[0]:
-            arcs = trial
-    return OrientedGraph(n, arcs), dict(enumerate(col))
-
-
 def _lift_case(kind, n, seed):
     """A reduction instance of the given kind from an n-vertex source, with a base."""
     rng = random.Random(seed)
@@ -745,9 +729,9 @@ def _lift_case(kind, n, seed):
         return build(src), three_edge_colouring_oracle(src)
     mode = Mode.IOS if kind.startswith("ios") else Mode.IOT
     if kind.endswith("t5"):
-        g, base = _planted(rng, n, C3, mode)
+        g, base = planted(rng, n, C3, mode)
         return (build_ios_t5 if mode is Mode.IOS else build_iot_t5)(g), base
-    g, base = _planted(rng, n, collapse_target(TT5, 0, "out")[0], mode)
+    g, base = planted(rng, n, collapse_target(TT5, 0, "out")[0], mode)
     build = build_ios_collapse if mode is Mode.IOS else build_iot_collapse
     return build(g, TT5, 0, "out"), base
 
