@@ -18,6 +18,8 @@ from injhom.reductions import (
     build_iot_t4,
     build_iot_t5,
     collapse_target,
+    extract_edge_colouring,
+    extract_inner_colouring,
     lift_colouring,
     three_edge_colouring_oracle,
 )
@@ -753,3 +755,21 @@ def test_pinned_lift_per_reduction_kind():
         ri, base = _lift_case(kind, n, seed)
         got[kind] = (ri.graph.n, digest(lift_colouring(ri, base)))
     assert got == GOLDEN_LIFT
+
+
+# per LIFT_CASES kind: the lift succeeds, the instance size, and whether
+# extract(lift(base)) == base.  A new witness rule moves GOLDEN_LIFT, never this
+GOLDEN_LIFT_ANSWERS = "d6337e3a28ec641d"
+
+
+def test_pinned_lift_answers_per_reduction_kind():
+    got = []
+    for kind, (n, seed) in LIFT_CASES.items():
+        ri, base = _lift_case(kind, n, seed)
+        extract = extract_edge_colouring if kind.endswith("t4") else extract_inner_colouring
+        try:
+            answer = (True, extract(ri, lift_colouring(ri, base)) == base)
+        except InjhomError:
+            answer = (False, False)
+        got.append((kind, ri.graph.n, answer))
+    assert digest(got) == GOLDEN_LIFT_ANSWERS
