@@ -41,7 +41,7 @@ class InvalidFixedAssignment(InjhomError):
 
 
 class InvalidWitness(InjhomError):
-    """The search gave a colouring that verify_colouring rejects: a solver fault."""
+    """The search or a lift gave a colouring that verify_colouring rejects: a package fault."""
 
 
 # poly decider

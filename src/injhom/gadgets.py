@@ -35,7 +35,10 @@ in their contracts: the anchor and the `forced` facts (`Contract.chain`).
 What a contract cannot say, the ring lemma, the ring wiring and the anchor
 of the t5 builder, is in one table, `CHAIN_GADGETS`; the ring lemma check,
 the t5 builders and the lift read the chain, the mode and the attach port
-from the loaded spec.
+from the loaded spec.  `EDGE_GADGETS` holds the same for the edge gadgets He
+and Fe: the edge lemma, the vertex gadget and the end ports.  Next to them
+are the copy tables a lift assembles an instance colouring from
+(`edge_tables`, `chain_table`).
 
 When a contract carries an anchor, the witness set is enumerated with the
 anchor fixed.  That is the `enumerate modulo automorphisms` semantics for the
@@ -53,7 +56,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import colour_letter, is_vertex_transitive, named_target, parse_colour
 from .digraph import Mode, OrientedGraph, parse_document
-from .errors import AssetMissing, ContractMalformed, InvalidWitness, SelfMergeCycle, UnknownPort
+from .errors import (
+    AssetMissing,
+    ContractMalformed,
+    InvalidWitness,
+    SelfMergeCycle,
+    TemplateNotFound,
+    UnknownPort,
+)
 from .solver import decide, enumerate_colourings, verify_colouring
 
 ASSET_NAMES = ("Hx", "He", "Fx", "Fe", "Jv", "Dv")
@@ -111,12 +121,17 @@ def parse_contract(text: str) -> Contract:
             raise ValueError("colour before target line")
         return parse_colour(tok, tn)
 
+    headers: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         try:
+            if parts[0] in ("target", "mode", "anchor"):
+                if parts[0] in headers:
+                    raise ValueError(f"second {parts[0]} line")
+                headers.add(parts[0])
             if parts[0] == "target" and len(parts) == 2:
                 target_name = parts[1]
                 tn = named_target(target_name).graph.n
@@ -296,6 +311,139 @@ def ring_links(spec: GadgetSpec) -> list[Link]:
     return [(1, spec.port(p), 1, into, 1) for p in CHAIN_GADGETS[spec.name].out_ports]
 
 
+def chain_links(spec: GadgetSpec) -> list[Link]:
+    """The links of a t5 ring: `ring_links`, and an arc from each copy's attach
+    port to the vertex of layer 0 that stands for that copy."""
+    return ring_links(spec) + [(1, spec.port("attach"), 0, 0, 0)]
+
+
+class EdgeGadget(NamedTuple):
+    """An edge gadget of the t4 reductions: the lemma its composition realizes,
+    the vertex gadget glued at its ends and its two end ports."""
+
+    lemma: str
+    vertex: str
+    ends: tuple[str, str]
+
+
+# the edge gadgets of the t4 reductions; the mode and the target are read from
+# the edge gadget's contract
+EDGE_GADGETS = {
+    "He": EdgeGadget("3.2", "Hx", ("e0", "e9")),
+    "Fe": EdgeGadget("4.3", "Fx", ("e0", "e6")),
+}
+
+
+# ---------------------------------------------------------------------------
+# copy tables: the colouring a lift gives each gadget copy
+# ---------------------------------------------------------------------------
+
+
+class CopyTable(dict):
+    """Colourings of one gadget's copies, one colour per label, by key.
+
+    A missing entry is solved by `solve(key)` on first use and kept for the
+    life of the process, so its cost falls on the first lift that needs it,
+    never on importing the package or on `load_gadget`.  Every key space is
+    finite, and `tests/test_lift.py` checks every entry against every entry
+    it can meet in an instance."""
+
+    __slots__ = ("_solve",)
+
+    def __init__(self, solve):
+        super().__init__()
+        self._solve = solve
+
+    def __missing__(self, key):
+        entry = self[key] = self._solve(key)
+        return entry
+
+
+def _solve_copy(graph, target, mode, fixed, labels) -> tuple[int, ...]:
+    """The colours that decide's witness of `graph` with `fixed` gives `labels`."""
+    res = decide(graph, target, mode, fixed=fixed)
+    if not res.sat:
+        raise TemplateNotFound(f"no {target.name} colouring of the copy extends {fixed}")
+    return tuple(res.witnesses[0][v] for v in labels)
+
+
+def edge_tables(name: str) -> tuple[CopyTable, CopyTable]:
+    """The vertex and edge copy tables of a t4 instance of edge gadget `name`.
+
+    The edge table maps an edge colour to a colouring of the edge gadget,
+    solved with a vertex gadget glued at each end and both ends at that
+    colour.  The vertex table maps the used squares of a vertex gadget and
+    their colours, ((square, colour), ...) in square order, to a colouring of
+    the vertex gadget, solved with the edge table's colouring glued at each
+    used square by its first end.
+    """
+    return _edge_tables(asset_dir(), name)
+
+
+@lru_cache(maxsize=None)
+def _edge_tables(base: Path, name: str) -> tuple[CopyTable, CopyTable]:
+    edge, gadget = _load(base, name), EDGE_GADGETS[name]
+    vertex = _load(base, gadget.vertex)
+    target, mode = named_target(edge.contract.target), edge.contract.mode
+
+    def edge_copy(colour: int) -> tuple[int, ...]:
+        graph, scope = compose(
+            [edge, vertex, vertex], [((i, "s1"), (0, end)) for i, end in enumerate(gadget.ends, 1)]
+        )
+        ends = {scope[(0, edge.port(end))]: colour for end in gadget.ends}
+        return _solve_copy(graph, target, mode, ends,
+                           [scope[(0, lbl)] for lbl in range(edge.graph.n)])
+
+    edges = CopyTable(edge_copy)
+
+    def vertex_copy(ports: tuple[tuple[str, int], ...]) -> tuple[int, ...]:
+        graph, scope = compose(
+            [vertex] + [edge] * len(ports),
+            [((0, square), (i, gadget.ends[0])) for i, (square, _) in enumerate(ports, 1)],
+        )
+        fixed = {scope[(i, lbl)]: c for i, (_, colour) in enumerate(ports, 1)
+                 for lbl, c in enumerate(edges[colour])}
+        return _solve_copy(graph, target, mode, fixed,
+                           [scope[(0, lbl)] for lbl in range(vertex.graph.n)])
+
+    return CopyTable(vertex_copy), edges
+
+
+def chain_table(name: str, chain: tuple[tuple[int, int], ...]) -> CopyTable:
+    """The copy table of a t5 instance of chain gadget `name` whose copies all
+    carry `chain`, (label, colour) pairs.
+
+    A copy's key is the colour of the source vertex it attaches to and the set
+    of colours of the other members of that vertex's first mode set (its
+    in-neighbours, or all its neighbours in mode iot), the set that holds the
+    attach port.  An entry is solved in a ring of two copies, both carrying
+    the chain, with copy 0's source vertex at the colour and joined to one
+    more vertex per colour of the set.
+    """
+    return _chain_table(asset_dir(), name, chain)
+
+
+@lru_cache(maxsize=None)
+def _chain_table(base: Path, name: str, chain: tuple[tuple[int, int], ...]) -> CopyTable:
+    spec = _load(base, name)
+    target, mode = named_target(spec.contract.target), spec.contract.mode
+    links = chain_links(spec)
+
+    def chain_copy(key: tuple[int, frozenset[int]]) -> tuple[int, ...]:
+        colour, others = key
+        # vertices 0 and 1 stand for copies 0 and 1; a vertex per colour of
+        # `others` joins vertex 0, into it wherever the target has that arc
+        members = dict(enumerate(sorted(others), 2))
+        arcs = [(x, 0) if target.graph.has_arc(c, colour) else (0, x) for x, c in members.items()]
+        graph, starts = ring(OrientedGraph(2 + len(members), arcs), [spec.graph], 2, links)
+        fixed = {0: colour, **members}
+        fixed.update((off + lbl, c) for off in starts[1] for lbl, c in chain)
+        first = starts[1][0]
+        return _solve_copy(graph, target, mode, fixed, range(first, first + spec.graph.n))
+
+    return CopyTable(chain_copy)
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -438,13 +586,8 @@ def verify_gadget(spec: GadgetSpec) -> VerificationReport:
 # lemmas that are one asset's own contract
 _ASSET_LEMMAS = {"3.1": "Hx", "4.1": "Fx", "4.2": "Fe"}
 
-# edge-gadget lemmas: the edge gadget with a vertex gadget glued at each end
-# port, square by square; both end ports are equal and coloured from b, c, d.
-# lemma -> (edge gadget, vertex gadget, end ports, mode)
-_EDGE_LEMMAS = {
-    "3.2": ("He", "Hx", ("e0", "e9"), Mode.IOS),
-    "4.3": ("Fe", "Fx", ("e0", "e6"), Mode.IOT),
-}
+# edge-gadget lemmas: lemma -> edge gadget, checked by `_edge_lemma`
+_EDGE_LEMMAS = {edge.lemma: name for name, edge in EDGE_GADGETS.items()}
 _SQUARES = ("s1", "s2", "s3")
 
 # ring lemmas: lemma -> chain gadget, checked by `_ring_lemma`
@@ -461,7 +604,7 @@ def lemma_reports(lemma: str) -> list[VerificationReport]:
     if lemma in _ASSET_LEMMAS:
         return [verify_gadget(load_gadget(_ASSET_LEMMAS[lemma]))]
     if lemma in _EDGE_LEMMAS:
-        return _edge_lemma(*_EDGE_LEMMAS[lemma])
+        return _edge_lemma(load_gadget(_EDGE_LEMMAS[lemma]))
     if lemma in _RING_LEMMAS:
         return _ring_lemma(load_gadget(_RING_LEMMAS[lemma]))
     raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(ALL_LEMMAS)}")
@@ -476,9 +619,11 @@ def contract_reports() -> list[tuple[str, VerificationReport]]:
     return out
 
 
-def _edge_lemma(edge_name, vertex_name, ends, mode) -> list[VerificationReport]:
-    edge = load_gadget(edge_name)
-    vertex = load_gadget(vertex_name)
+def _edge_lemma(edge: GadgetSpec) -> list[VerificationReport]:
+    """The edge gadget with a vertex gadget glued at each end port, square by
+    square: both end ports are equal and coloured from b, c, d."""
+    ends = EDGE_GADGETS[edge.name].ends
+    vertex = load_gadget(EDGE_GADGETS[edge.name].vertex)
     a, b = (edge.port(p) for p in ends)
     out = []
     for sa in _SQUARES:
@@ -491,9 +636,8 @@ def _edge_lemma(edge_name, vertex_name, ends, mode) -> list[VerificationReport]:
                 ("equal", scope[(0, a)], scope[(0, b)]),
                 ("range", scope[(0, a)], frozenset({1, 2, 3})),
             )
-            out.append(verify_contract(
-                graph, Contract("T4", mode, None, facts), subject=f"{edge_name}'[{sa},{sb}]"
-            ))
+            contract = Contract(edge.contract.target, edge.contract.mode, None, facts)
+            out.append(verify_contract(graph, contract, subject=f"{edge.name}'[{sa},{sb}]"))
     return out
 
 

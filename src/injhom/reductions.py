@@ -24,15 +24,24 @@ Rings on fewer than two source vertices are padded with isolated dummy
 vertices: a one-copy ring would close an arc pair into a digon, and an
 isolated dummy is always colourable, so padding preserves the yes/no answer.
 
-A lift fixes what the source solution determines and searches the rest.  The
-t4 kinds fix both ports of every edge gadget at the edge's colour.  The t5
-and collapse kinds fix the source images and, in every ring copy, the labels
-of `copy_colours`: for the t5 kinds that is the chain of the ring lemma
+A lift is an assembly: the kind's fixing rule colours every instance vertex,
+copy by copy, and `verify_colouring` checks the result.  No search runs on
+the instance, so a lift is linear in its size and needs no budget.  The t4
+kinds take each edge gadget from a table keyed by the edge's colour and each
+vertex gadget from a table keyed by its used squares and their colours
+(`gadgets.edge_tables`).  The t5 and collapse kinds colour the source images
+by the embedded base (a padded vertex, isolated in the source, as colour 0).
+A t5 ring copy comes from a table keyed by its source vertex's colour and the
+colours of the other members of the vertex's mode set that holds the attach
+port (`gadgets.chain_table`); every entry carries the ring lemma's chain
 (3.4 for Jv, 4.5 for Dv), read from the gadget's contract and rotated by the
-T5 automorphism that sends it to the builder's anchor (`gadgets.CHAIN_GADGETS`);
-for the collapse kinds every label at itself, and every x-vertex at the
-pivot.  The chains leave the t5 search almost nothing to branch on; every
-lift checks its witness.
+T5 automorphism that sends it to the builder's anchor (`gadgets.CHAIN_GADGETS`),
+which `copy_colours` records.  A collapse copy takes `copy_colours`, every
+label at itself, and every x-vertex the pivot.  Table entries are solved by
+`decide` on a small instance around one copy, once per process.
+
+Every builder computes its instance's size before building it, and raises
+BoundExceeded past `digraph.MAX_VERTICES`.
 """
 from __future__ import annotations
 
@@ -42,8 +51,9 @@ from itertools import chain
 from typing import Mapping
 
 from .catalog import Target, named_target
-from .digraph import Mode, OrientedGraph, induced_subgraph, read_edge_list
+from .digraph import MAX_VERTICES, Mode, OrientedGraph, induced_subgraph, read_edge_list
 from .errors import (
+    BoundExceeded,
     BudgetExhausted,
     DegreeTooHigh,
     DegreeTooLow,
@@ -52,11 +62,20 @@ from .errors import (
     MalformedLine,
     NormalizationFailed,
     PortColourMismatch,
-    TemplateNotFound,
     VertexOutOfRange,
 )
-from .gadgets import CHAIN_GADGETS, GadgetSpec, Link, compose, load_gadget, ring, ring_links
-from .solver import _check_bounds, decide, verify_colouring
+from .gadgets import (
+    CHAIN_GADGETS,
+    EDGE_GADGETS,
+    Link,
+    chain_links,
+    chain_table,
+    compose,
+    edge_tables,
+    load_gadget,
+    ring,
+)
+from .solver import _check_bounds, verify_colouring
 
 Edge = tuple[int, int]
 
@@ -68,6 +87,10 @@ EDGE_COLOURS = (1, 2, 3)
 C3_EMBEDDING = {0: 1, 1: 3, 2: 4}
 
 EDGE_KINDS = ("ios-t4", "iot-t4")
+
+# the gadget each gadget kind is built from: an edge gadget of EDGE_GADGETS
+# (with its vertex gadget) or a chain gadget of CHAIN_GADGETS
+_KIND_GADGETS = {"ios-t4": "He", "iot-t4": "Fe", "ios-t5": "Jv", "iot-t5": "Dv"}
 
 
 class UndirectedGraph:
@@ -258,23 +281,27 @@ def _entries(prefix: str, table: Mapping, key=str, value=str) -> list[str]:
     return [f"{prefix}.{key(k)}={value(v)}" for k, v in sorted(table.items())]
 
 
+def _check_size(kind: str, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise BoundExceeded(
+            f"a {kind} instance would have {n} vertices, over the limit {MAX_VERTICES}"
+        )
+
+
 # -- T4 reductions (from 3-edge-colouring) ----------------------------------
 
 
-def _build_t4(
-    g: UndirectedGraph,
-    kind: str,
-    mode: Mode,
-    vertex_spec: GadgetSpec,
-    edge_spec: GadgetSpec,
-    port_a: str,
-    port_b: str,
-) -> ReductionInstance:
+def _build_t4(g: UndirectedGraph, kind: str) -> ReductionInstance:
     """One vertex gadget per source vertex, then one edge gadget per arc of the
     fixed orientation, its end ports merged into a free square at each end."""
     degree = g.max_degree()
     if degree > 3:
         raise DegreeTooHigh(f"max degree {degree} > 3")
+    edge_spec = load_gadget(_KIND_GADGETS[kind])
+    vertex_spec = load_gadget(EDGE_GADGETS[edge_spec.name].vertex)
+    port_a, port_b = EDGE_GADGETS[edge_spec.name].ends
+    # each edge gadget's two end ports are merged into squares
+    _check_size(kind, g.n * vertex_spec.graph.n + len(g.edges) * (edge_spec.graph.n - 2))
     # the fixed orientation: every edge {u, v}, stored as (min, max), is min -> max
     arcs = sorted(g.edges)
     # degree <= 3, so no vertex runs out of squares
@@ -295,8 +322,8 @@ def _build_t4(
     return ReductionInstance(
         kind=kind,
         graph=graph,
-        target=named_target("T4"),
-        mode=mode,
+        target=named_target(edge_spec.contract.target),
+        mode=edge_spec.contract.mode,
         source_n=g.n,
         vertex_gadget={
             x: {lbl: scope[(x, lbl)] for lbl in range(vertex_spec.graph.n)}
@@ -310,15 +337,11 @@ def _build_t4(
 
 
 def build_ios_t4(g: UndirectedGraph) -> ReductionInstance:
-    return _build_t4(
-        g, "ios-t4", Mode.IOS, load_gadget("Hx"), load_gadget("He"), "e0", "e9"
-    )
+    return _build_t4(g, "ios-t4")
 
 
 def build_iot_t4(g: UndirectedGraph) -> ReductionInstance:
-    return _build_t4(
-        g, "iot-t4", Mode.IOT, load_gadget("Fx"), load_gadget("Fe"), "e0", "e6"
-    )
+    return _build_t4(g, "iot-t4")
 
 
 # -- ring reductions: T5 from C3-colourability, and the collapse kinds -------
@@ -336,6 +359,7 @@ def _ring_instance(
     `anchor_label` of the first copy of the first unit.
     """
     extra = max(0, 2 - g.n)
+    _check_size(kind, (g.n + extra) * (1 + sum(unit.n for unit in units.values())))
     prefix = OrientedGraph(2, g.arcs) if extra else g
     graph, starts = ring(prefix, list(units.values()), prefix.n, links)
     for (name, unit), offs in zip(units.items(), starts[1:]):
@@ -357,17 +381,17 @@ def _ring_instance(
     )
 
 
-def _build_t5(g: OrientedGraph, kind: str, name: str) -> ReductionInstance:
-    """A ring of copies of the chain gadget `name`, copy i attached to source
+def _build_t5(g: OrientedGraph, kind: str) -> ReductionInstance:
+    """A ring of copies of the kind's chain gadget, copy i attached to source
     vertex i, anchored as `CHAIN_GADGETS` says; the mode and the chain come
     from the gadget's contract."""
-    spec, gadget = load_gadget(name), CHAIN_GADGETS[name]
+    spec = load_gadget(_KIND_GADGETS[kind])
+    gadget = CHAIN_GADGETS[spec.name]
     target = named_target(spec.contract.target)
     chain = spec.contract.chain()
     pi = _normalizing_automorphism(target, chain[gadget.anchor_label], gadget.anchor_colour)
-    links = ring_links(spec) + [(1, spec.port("attach"), 0, 0, 0)]
     return _ring_instance(
-        kind, spec.contract.mode, g, target, {"vertex_gadget": spec.graph}, links,
+        kind, spec.contract.mode, g, target, {"vertex_gadget": spec.graph}, chain_links(spec),
         gadget.anchor_label, gadget.anchor_colour,
         source_target=named_target("C3"), embedding=C3_EMBEDDING,
         copy_colours={v: pi[c] for v, c in chain.items()},
@@ -375,11 +399,11 @@ def _build_t5(g: OrientedGraph, kind: str, name: str) -> ReductionInstance:
 
 
 def build_ios_t5(g: OrientedGraph) -> ReductionInstance:
-    return _build_t5(g, "ios-t5", "Jv")
+    return _build_t5(g, "ios-t5")
 
 
 def build_iot_t5(g: OrientedGraph) -> ReductionInstance:
-    return _build_t5(g, "iot-t5", "Dv")
+    return _build_t5(g, "iot-t5")
 
 
 # -- collapse reductions -----------------------------------------------------
@@ -510,38 +534,77 @@ def extract_inner_colouring(ri: ReductionInstance, f) -> dict[int, int]:
     return out
 
 
-def _edge_fixing(ri: ReductionInstance, base) -> dict[int, int]:
-    """t4 kinds: both ports of every edge gadget take the edge's colour."""
+def _paint(f: list[int], labels: Mapping[int, int], colours) -> None:
+    """Give each copy label's instance vertex the colour `colours` has for it."""
+    for lbl, vid in labels.items():
+        f[vid] = colours[lbl]
+
+
+def _edge_fixing(ri: ReductionInstance, base) -> list[int]:
+    """t4 kinds: every edge gadget from the edge table by its edge's colour,
+    every vertex gadget from the vertex table by its used squares' colours."""
     if not is_proper_edge_colouring(ri.source, base):
         raise ValueError("base is not a proper {b,c,d} edge colouring")
-    return {p: base[e] for e, ports in ri.ports.items() for p in ports}
+    vertex_table, edge_table = edge_tables(_KIND_GADGETS[ri.kind])
+    f = [0] * ri.graph.n
+    ports: dict[int, list[tuple[str, int]]] = {x: [] for x in ri.vertex_gadget}
+    for e, labels in ri.edge_gadget.items():
+        _paint(f, labels, edge_table[base[e]])
+        for x, square in zip(e, ri.squares_used[e]):
+            ports[x].append((square, base[e]))
+    for x, labels in ri.vertex_gadget.items():
+        _paint(f, labels, vertex_table[tuple(sorted(ports[x]))])
+    return f
 
 
-def _vertex_fixing(ri: ReductionInstance, base) -> dict[int, int]:
-    """t5 and collapse kinds: the embedded base on the source images, the
-    `copy_colours` of every ring copy and the x-vertices."""
+def _vertex_fixing(ri: ReductionInstance, base) -> list[int]:
+    """t5 and collapse kinds: the embedded base on the source images, and 0's
+    image on the padded vertices, which are isolated in the source.  A t5 ring
+    copy comes from the chain table, keyed by its source vertex's colour and
+    the colours of the other members of the vertex's mode set that holds the
+    attach port.  A collapse copy takes `copy_colours`, and every x-vertex
+    the pivot."""
     ok, why = verify_colouring(ri.source, ri.source_target, base, ri.mode)
     if not ok:
         raise ValueError(
             f"base is not a valid {ri.source_target.name} colouring of the source: {why}"
         )
-    fixed = {vid: ri.embedding[base[u]] for u, vid in ri.inner.items()}
+    f = [0] * ri.graph.n
+    for u, vid in ri.inner.items():
+        f[vid] = ri.embedding[base[u]]
+    # the padded vertices follow the source's, so vertex i stands for copy i
+    for vid in range(ri.source_n, ri.source_n + ri.padded):
+        f[vid] = ri.embedding[0]
+    if ri.kind in _KIND_GADGETS:
+        name = _KIND_GADGETS[ri.kind]
+        table = chain_table(name, tuple(ri.copy_colours.items()))
+        attach = load_gadget(name).port("attach")
+        # in every mode the first family of mode sets holds the in-neighbours,
+        # and so each attach port
+        holds_attach = ri.graph.mode_sets(ri.mode)[0]
+        for i, labels in ri.vertex_gadget.items():
+            a = labels[attach]
+            _paint(f, labels, table[f[i], frozenset([f[x] for x in holds_attach[i] if x != a])])
+        return f
     for labels in (*ri.vertex_gadget.values(), *ri.star_gadget.values()):
-        fixed.update((labels[lbl], c) for lbl, c in ri.copy_colours.items())
-    fixed.update(dict.fromkeys(ri.x_vertices.values(), ri.pivot))
-    return fixed
+        _paint(f, labels, ri.copy_colours)
+    for vid in ri.x_vertices.values():
+        f[vid] = ri.pivot
+    return f
 
 
 def lift_colouring(ri: ReductionInstance, base) -> tuple[int, ...]:
-    """Extend a source-problem solution to a full valid instance colouring."""
+    """Extend a source-problem solution to a full valid instance colouring.
+
+    The kind's fixing rule colours every instance vertex from per-copy tables
+    (`gadgets.edge_tables`, `gadgets.chain_table`) or, for the collapse kinds,
+    from `copy_colours`; `verify_colouring` then checks the result.  No search
+    runs on the instance, so a lift is linear in its size and needs no budget.
+    Raises ValueError on an invalid base.
+    """
     rule = _edge_fixing if ri.kind in EDGE_KINDS else _vertex_fixing
-    res = decide(ri.graph, ri.target, ri.mode, fixed=rule(ri, base))
-    if not res.sat:
-        raise TemplateNotFound(
-            f"no completion of the fixed ports exists for kind {ri.kind}"
-        )
-    witness = res.witnesses[0]
-    ok, why = verify_colouring(ri.graph, ri.target, witness, ri.mode)
+    colouring = tuple(rule(ri, base))
+    ok, why = verify_colouring(ri.graph, ri.target, colouring, ri.mode)
     if not ok:
-        raise InvalidWitness(f"solver produced an invalid witness: {why}")
-    return witness
+        raise InvalidWitness(f"the lift assembled an invalid witness: {why}")
+    return colouring

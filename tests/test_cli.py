@@ -297,6 +297,17 @@ def test_reduce_malformed_undirected_input_exit_two(tmp_path, capsys, text, line
     assert not out.exists()
 
 
+def test_reduce_too_large_an_instance_exit_two(tmp_path, capsys):
+    # a legal source file whose ios-t4 instance would pass MAX_VERTICES
+    p = tmp_path / "wide.graph"
+    p.write_text("n 32769\n")
+    out = tmp_path / "inst.graph"
+    rc = main(["reduce", "--kind", "ios-t4", "--input", str(p), "--output", str(out)])
+    assert rc == 2
+    assert "would have 1048608 vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reduce_collapse_pivot_too_low(cycle_file, tmp_path, capsys):
     rc = main([
         "reduce", "--kind", "collapse-ios", "--input", str(cycle_file),

@@ -91,6 +91,19 @@ def test_contract_colour_before_target_has_line_number(text, lineno):
     assert "colour before target line" in str(err.value)
 
 
+@pytest.mark.parametrize("text, lineno, header", [
+    # a second target would reread the colours of the facts before it
+    ("target T5\nmode ios\nforced 0 e\ntarget C3\nmode iot", 4, "target"),
+    ("target T4\nmode ios\nnonempty\n\nmode iot", 5, "mode"),
+    ("target T5\nmode ios\nanchor 0 a\nanchor 8 a", 4, "anchor"),
+])
+def test_contract_header_lines_appear_once(text, lineno, header):
+    with pytest.raises(ContractMalformed) as err:
+        parse_contract(text)
+    assert str(err.value).startswith(f"line {lineno}: ")
+    assert f"second {header} line" in str(err.value)
+
+
 def test_load_gadget_validates_spec_invariants(tmp_path, monkeypatch):
     monkeypatch.setenv("INJHOM_ASSET_DIR", str(tmp_path))
     (tmp_path / "Bad.graph").write_text("n 2\na 0 1\nport p 0\nport q 0\n")

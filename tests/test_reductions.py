@@ -9,6 +9,7 @@ from injhom.acceptance import petersen_graph, subcubic_graphs_upto_iso
 from injhom.catalog import canonical_form, named_target
 from injhom.digraph import MAX_VERTICES, Mode, OrientedGraph
 from injhom.errors import (
+    BoundExceeded,
     BudgetExhausted,
     DegreeTooHigh,
     DegreeTooLow,
@@ -42,6 +43,7 @@ from injhom.reductions import (
 from injhom.solver import decide, enumerate_colourings, verify_colouring
 
 from helpers import planted
+from lift_reference import reference_lift
 
 K3 = UndirectedGraph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = UndirectedGraph(4, list(itertools.combinations(range(4), 2)))
@@ -202,6 +204,21 @@ def test_build_ios_t4_k4_uses_every_square():
     assert len(claimed) == 12 and len(set(claimed)) == 12  # 4 vertices x 3 squares
 
 
+def test_builders_bound_the_instance_before_building_it(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("injhom.reductions.compose", no_build)
+    monkeypatch.setattr("injhom.reductions.ring", no_build)
+    # 32 Hx vertices per source vertex: 32 * 32 769 = 1 048 608 > 2^20
+    with pytest.raises(BoundExceeded, match=r"^a ios-t4 instance would have 1048608 vertices, "
+                                            rf"over the limit {MAX_VERTICES}$"):
+        build_ios_t4(UndirectedGraph(32_769))
+    # 1 + 20 vertices per source vertex: 21 * 49 933 = 1 048 593
+    with pytest.raises(BoundExceeded, match="1048593 vertices"):
+        build_ios_t5(OrientedGraph(49_933))
+
+
 def test_build_t4_determinism():
     a, b = build_ios_t4(K3), build_ios_t4(K3)
     assert a.graph == b.graph and a.map_lines() == b.map_lines()
@@ -340,16 +357,15 @@ def test_t5_chains_rotated_to_the_builder_anchor():
 
 @pytest.mark.parametrize("build, mode", [(build_ios_t5, Mode.IOS), (build_iot_t5, Mode.IOT)])
 def test_t5_lift_fixings_on_every_ring_length(build, mode):
-    # with every copy's chain fixed, the lift's search is nearly backtrack
-    # free on rings of 2 to 40 copies; the budget, linear in the instance,
-    # makes a fixing that leaves the search to backtrack fail fast
+    # the reference lift fixes every copy's chain, which leaves its search
+    # nearly backtrack free on rings of 2 to 40 copies; the budget, linear in
+    # the instance, makes a fixing that leaves the search to backtrack fail fast
     rng = random.Random(40)
     for n in range(41):
         for _ in range(3):
             g, base = planted(rng, n, C3, mode)
             ri = build(g)
-            res = decide(ri.graph, ri.target, ri.mode, fixed=_vertex_fixing(ri, base),
-                         node_budget=10 * ri.graph.n + 100)
+            res = reference_lift(ri, base, node_budget=10 * ri.graph.n + 100)
             assert res.sat, (n, res.status, res.nodes)
             assert verify_colouring(ri.graph, ri.target, res.witnesses[0], ri.mode)[0]
             assert extract_inner_colouring(ri, res.witnesses[0]) == base
