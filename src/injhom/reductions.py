@@ -284,7 +284,7 @@ def _entries(prefix: str, table: Mapping, key=str, value=str) -> list[str]:
 def _check_size(kind: str, n: int) -> None:
     if n > MAX_VERTICES:
         raise BoundExceeded(
-            f"a {kind} instance would have {n} vertices, over the limit {MAX_VERTICES}"
+            f"the {kind} instance would have {n} vertices, over the limit {MAX_VERTICES}"
         )
 
 
@@ -558,8 +558,8 @@ def _edge_fixing(ri: ReductionInstance, base) -> list[int]:
 
 
 def _vertex_fixing(ri: ReductionInstance, base) -> list[int]:
-    """t5 and collapse kinds: the embedded base on the source images, and 0's
-    image on the padded vertices, which are isolated in the source.  A t5 ring
+    """t5 and collapse kinds: the embedded base on the source images, and the
+    image of colour 0 on the padded vertices, isolated in the source.  A t5 ring
     copy comes from the chain table, keyed by its source vertex's colour and
     the colours of the other members of the vertex's mode set that holds the
     attach port.  A collapse copy takes `copy_colours`, and every x-vertex

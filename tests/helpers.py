@@ -39,21 +39,3 @@ def planted(rng, n, target, mode):
         if verify_colouring(OrientedGraph(n, trial), target, col, mode)[0]:
             arcs = trial
     return OrientedGraph(n, arcs), dict(enumerate(col))
-
-
-def planted_edges(rng, n):
-    """A subcubic graph grown edge by edge around a proper 3-edge-colouring
-    {b, c, d} = {1, 2, 3} that stays proper, and that colouring."""
-    from injhom.reductions import UndirectedGraph
-
-    colouring: dict[tuple[int, int], int] = {}
-    used: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(2 * n if n > 1 else 0):
-        u, v = sorted(rng.sample(range(n), 2))
-        c = rng.randint(1, 3)
-        if (u, v) in colouring or c in used[u] or c in used[v]:
-            continue
-        colouring[(u, v)] = c
-        used[u].add(c)
-        used[v].add(c)
-    return UndirectedGraph(n, colouring), colouring

@@ -21,6 +21,7 @@ from injhom.gadgets import (
 from injhom.reductions import (
     C3_EMBEDDING,
     EDGE_COLOURS,
+    UndirectedGraph,
     build_ios_collapse,
     build_ios_t4,
     build_ios_t5,
@@ -36,7 +37,7 @@ from injhom.reductions import (
 from injhom.naive import naive_witnesses
 from injhom.solver import verify_colouring
 
-from helpers import all_oriented, planted, planted_edges
+from helpers import all_oriented, planted
 from lift_reference import reference_lift
 
 C3 = named_target("C3")
@@ -53,10 +54,26 @@ T5_BUILDS = {"ios-t5": (build_ios_t5, Mode.IOS, "Jv"), "iot-t5": (build_iot_t5, 
 KINDS = (*T4_BUILDS, *T5_BUILDS, *COLLAPSES)
 
 
+def _planted_edges(rng, n):
+    """A subcubic graph grown edge by edge around a proper 3-edge-colouring
+    that stays proper, and that colouring."""
+    colouring: dict[tuple[int, int], int] = {}
+    used: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        c = rng.choice(EDGE_COLOURS)
+        if (u, v) in colouring or c in used[u] or c in used[v]:
+            continue
+        colouring[(u, v)] = c
+        used[u].add(c)
+        used[v].add(c)
+    return UndirectedGraph(n, colouring), colouring
+
+
 def _planted_case(kind, rng, n):
     """An instance of `kind` from a planted n-vertex source, with its base."""
     if kind in T4_BUILDS:
-        g, base = planted_edges(rng, n)
+        g, base = _planted_edges(rng, n)
         return T4_BUILDS[kind](g), base
     if kind in T5_BUILDS:
         build, mode, _ = T5_BUILDS[kind]

@@ -211,7 +211,7 @@ def test_builders_bound_the_instance_before_building_it(monkeypatch):
     monkeypatch.setattr("injhom.reductions.compose", no_build)
     monkeypatch.setattr("injhom.reductions.ring", no_build)
     # 32 Hx vertices per source vertex: 32 * 32 769 = 1 048 608 > 2^20
-    with pytest.raises(BoundExceeded, match=r"^a ios-t4 instance would have 1048608 vertices, "
+    with pytest.raises(BoundExceeded, match=r"^the ios-t4 instance would have 1048608 vertices, "
                                             rf"over the limit {MAX_VERTICES}$"):
         build_ios_t4(UndirectedGraph(32_769))
     # 1 + 20 vertices per source vertex: 21 * 49 933 = 1 048 593
