@@ -3,14 +3,17 @@
 `decide_small_target` must give the status, witness and `propagations` of the
 generator decider kept in poly_reference.py, on graphs whose instances close,
 conflict and pause in every combination.  The reversed two-vertex target, whose
-strict arc is 1 -> 0, makes colour 1 the decider's value p.
+strict arc is 1 -> 0, makes colour 1 the decider's value p.  A paused side
+restarts from its start, so the implications the sides look at exceed the
+ones `propagations` counts, but by less than a factor of 3.
 """
 import random
 
 import pytest
 
+from injhom import poly
 from injhom.catalog import Target
-from injhom.digraph import MODES, OrientedGraph
+from injhom.digraph import MODES, Mode, OrientedGraph
 from injhom.naive import naive_witnesses
 from injhom.poly import decide_small_target
 from injhom.solver import decide, pigeonhole_unsat, verify_colouring
@@ -80,3 +83,32 @@ def test_reversed_target_agrees_with_decide_and_naive():
                 assert got.witnesses[0] in want
                 ok, why = verify_colouring(g, REVERSED, got.witnesses[0], mode)
                 assert ok, why
+
+
+def _looked_and_counted(monkeypatch, graphs):
+    """(the implications every run of a side looked at, propagations) for
+    each (graph, mode) of graphs."""
+    side, looked = poly._side, []
+
+    def counted(start, colour, limit, *rest):
+        got = side(start, colour, limit, *rest)
+        looked.append(limit if got is None else got if got >= 0 else ~got)
+        return got
+
+    monkeypatch.setattr(poly, "_side", counted)
+    for g, mode in graphs:
+        looked.clear()
+        propagations = decide_small_target(g, TT2, mode).propagations
+        yield sum(looked), propagations
+
+
+@pytest.mark.parametrize("family, size", [(_chain, 4_000), (_hub, 1_000)])
+def test_restarted_sides_look_at_under_three_times_the_count(monkeypatch, family, size):
+    graphs = [(family(n), Mode.IN) for n in (size, 4 * size)]
+    for looked, counted in _looked_and_counted(monkeypatch, graphs):
+        assert counted <= looked <= 3 * counted
+
+
+def test_restarted_sides_on_seeded_graphs_look_at_under_three_times_the_count(monkeypatch):
+    for looked, counted in _looked_and_counted(monkeypatch, _seeded_graphs(31, 100)):
+        assert counted <= looked <= 3 * counted
