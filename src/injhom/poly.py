@@ -48,8 +48,8 @@ paused at, which it is counted for, so the sides look at fewer than 3 times
 the implications counted.
 
 The tests check the decider against a general 2-SAT solver (Tarjan's
-strongly connected components over the clause encoding), which lives with
-them, apart from the code it checks.
+strongly connected components over the clause encoding) and against the
+generator decider this one replaced; both live with the tests.
 """
 from __future__ import annotations
 
